@@ -721,17 +721,12 @@ fn predict_inner(args: &PredictArgs) -> Result<String, Box<dyn Error>> {
     }
     write_atomic(&args.output, out.as_bytes())?;
 
+    // `data.y` is the test file's own ±1 encoding (its first label ↦ +1),
+    // so the truth comes from the test file's label map, not the model's.
     let correct = labels
         .iter()
         .zip(&data.y)
-        .filter(|(&l, &y)| {
-            let truth = if y > 0.0 {
-                model.labels[0]
-            } else {
-                model.labels[1]
-            };
-            l == truth
-        })
+        .filter(|(&l, &y)| l == data.label_map[if y > 0.0 { 0 } else { 1 }])
         .count();
     Ok(format!(
         "Accuracy = {:.4}% ({}/{}) (classification)\n",

@@ -93,17 +93,7 @@ fn full_pipeline_through_the_binaries() {
     );
     assert!(ok, "{stderr}");
     assert!(stdout.contains("Accuracy"), "{stdout}");
-    let acc: f64 = stdout
-        .split('=')
-        .nth(1)
-        .unwrap()
-        .trim()
-        .split('%')
-        .next()
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert!(acc >= 97.0, "{stdout}");
+    assert!(reported_accuracy(&stdout) >= 97.0, "{stdout}");
     assert_eq!(std::fs::read_to_string(&preds).unwrap().lines().count(), 80);
 }
 
@@ -471,4 +461,83 @@ fn storage_faults_through_the_binary_exit_4_or_retry_to_success() {
     assert!(help.contains("--io-faults"), "{help}");
     assert!(help.contains("--on-io-degraded"), "{help}");
     assert!(help.contains("4 storage failure"), "{help}");
+}
+
+/// Parses the percentage out of `svm-predict`'s `Accuracy = X% (…)` line.
+fn reported_accuracy(stdout: &str) -> f64 {
+    stdout
+        .split('=')
+        .nth(1)
+        .and_then(|s| s.trim().split('%').next())
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no accuracy in {stdout}"))
+}
+
+/// The test file's first label need not be the training file's: the
+/// accuracy report must score each row against its own original label,
+/// not against the test file's ±1 encoding read through the model's
+/// label order (which reported 1 − accuracy).
+#[test]
+fn predict_accuracy_is_independent_of_the_test_files_label_order() {
+    let dir = tmpdir("label_order");
+    let data = dir.join("train.dat");
+    let flipped = dir.join("flipped.dat");
+    let model = dir.join("train.model");
+    let (ok, _, stderr) = run(
+        "generate-data",
+        &[
+            "--points",
+            "80",
+            "--features",
+            "6",
+            "--seed",
+            "4",
+            "--sep",
+            "4.0",
+            "--flip",
+            "0.0",
+            "-o",
+            data.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "{stderr}");
+
+    // move the first row of the other class to the front
+    let text = std::fs::read_to_string(&data).unwrap();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let first_label = lines[0].split_whitespace().next().unwrap();
+    let other = lines
+        .iter()
+        .position(|l| l.split_whitespace().next().unwrap() != first_label)
+        .expect("two classes");
+    let row = lines.remove(other);
+    lines.insert(0, row);
+    std::fs::write(&flipped, lines.join("\n") + "\n").unwrap();
+
+    let (ok, _, stderr) = run(
+        "svm-train",
+        &[
+            "-e",
+            "1e-8",
+            data.to_str().unwrap(),
+            model.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "{stderr}");
+    let mut reported = Vec::new();
+    for (test, preds) in [(&data, "same.preds"), (&flipped, "flipped.preds")] {
+        let preds = dir.join(preds);
+        let (ok, stdout, stderr) = run(
+            "svm-predict",
+            &[
+                test.to_str().unwrap(),
+                model.to_str().unwrap(),
+                preds.to_str().unwrap(),
+            ],
+        );
+        assert!(ok, "{stderr}");
+        reported.push(reported_accuracy(&stdout));
+    }
+    assert!(reported[0] >= 97.0, "{reported:?}");
+    assert_eq!(reported[0], reported[1], "label order changed the score");
 }

@@ -72,7 +72,9 @@ fn serve_stdin(model: &Path, max_batch: usize, input: &str) -> String {
 
 /// The conformance oracle: `svm-predict`'s output file must equal
 /// `svm-serve`'s stdout for the same test lines, at batch sizes
-/// {1, 3, max} — the micro-batcher must never change an answer.
+/// {1, 3, 4, 5, 7, 64} — a lone row, full 4-query blocks and blocks with
+/// 1-, 2- and 3-row tails: neither the micro-batcher nor the query
+/// blocking of the predict engine may ever change an answer.
 fn assert_serving_matches(tag: &str, model: &Path, test_file: &Path) {
     let preds = model.with_extension("preds");
     let (ok, _, stderr) = run(
@@ -88,7 +90,7 @@ fn assert_serving_matches(tag: &str, model: &Path, test_file: &Path) {
     assert!(!expected.is_empty(), "[{tag}] empty prediction file");
 
     let input = std::fs::read_to_string(test_file).unwrap();
-    for max_batch in [1usize, 3, 64] {
+    for max_batch in [1usize, 3, 4, 5, 7, 64] {
         let served = serve_stdin(model, max_batch, &input);
         assert_eq!(
             served, expected,

@@ -12,8 +12,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rayon::prelude::*;
-
 use plssvm_data::dense::{DenseMatrix, SoAMatrix};
 use plssvm_data::libsvm::RegressionData;
 use plssvm_data::model::{KernelSpec, SvrModel};
@@ -33,6 +31,8 @@ use crate::guard::{
 use crate::kernel::kernel_row;
 use crate::lowrank::{solve_lowrank, SolverSelection};
 use crate::matrix_free::{bias, full_alpha, reduced_rhs};
+use crate::simd::Isa;
+use crate::svm::kernel_expansion;
 use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
 
 /// LS-SVR trainer configuration (mirrors [`crate::svm::LsSvm`]).
@@ -414,8 +414,9 @@ impl<T: AtomicScalar> LsSvr<T> {
 }
 
 /// Predicted regression values `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + b` for every
-/// row of `x`, computed in parallel over the test points with the panel
-/// micro-kernel (`PANEL_MR` support vectors per feature pass).
+/// row of `x`, computed by the same query-blocked
+/// [`kernel_expansion`] as classification (4 support vectors × 4 test
+/// points per feature pass).
 pub fn predict_values<T: Real>(model: &SvrModel<T>, x: &DenseMatrix<T>) -> Vec<T> {
     assert_eq!(
         x.cols(),
@@ -424,7 +425,8 @@ pub fn predict_values<T: Real>(model: &SvrModel<T>, x: &DenseMatrix<T>) -> Vec<T
         x.cols(),
         model.features()
     );
-    predict_values_panel(model, x)
+    let isa = Isa::select();
+    kernel_expansion(&model.kernel, isa, &model.sv, &model.coef, model.bias(), x)
 }
 
 /// Fallible [`predict_values`]: returns a structured
@@ -436,37 +438,7 @@ pub fn try_predict_values<T: Real>(
     x: &DenseMatrix<T>,
 ) -> Result<Vec<T>, crate::error::SvmError> {
     crate::svm::validate_query_batch(model.features(), x)?;
-    Ok(predict_values_panel(model, x))
-}
-
-/// The panel-microkernel regression sweep shared by the panicking and
-/// fallible entry points.
-fn predict_values_panel<T: Real>(model: &SvrModel<T>, x: &DenseMatrix<T>) -> Vec<T> {
-    use crate::kernel::{kernel_panel, PANEL_MR};
-    let b = model.bias();
-    let m = model.sv.rows();
-    let isa = crate::simd::Isa::select();
-    (0..x.rows())
-        .into_par_iter()
-        .map(|p| {
-            let row = x.row(p);
-            let mut acc = b;
-            let mut i = 0;
-            while i < m {
-                let h = (m - i).min(PANEL_MR);
-                let mut ra: [&[T]; PANEL_MR] = [row; PANEL_MR];
-                for (a, slot) in ra.iter_mut().enumerate().take(h) {
-                    *slot = model.sv.row(i + a);
-                }
-                let panel = kernel_panel(&model.kernel, isa, &ra[..h], &[row]);
-                for (a, prow) in panel.iter().enumerate().take(h) {
-                    acc = model.coef[i + a].mul_add(prow[0], acc);
-                }
-                i += h;
-            }
-            acc
-        })
-        .collect()
+    Ok(predict_values(model, x))
 }
 
 /// Mean squared error of the model on a labeled regression set.

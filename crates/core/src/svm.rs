@@ -32,6 +32,7 @@ use crate::guard::{
 use crate::kernel::kernel_row;
 use crate::lowrank::{solve_lowrank, SolverSelection};
 use crate::matrix_free::{bias, full_alpha, reduced_rhs};
+use crate::simd::Isa;
 use crate::timing::ComponentTimes;
 use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
 
@@ -567,9 +568,8 @@ pub fn train<T: AtomicScalar>(
 }
 
 /// Decision values `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + b` for every row of `x`
-/// (Eq. 10), computed in parallel over the test points with the panel
-/// micro-kernel: each feature pass evaluates `PANEL_MR` support vectors
-/// against the test point at once.
+/// (Eq. 10), computed by the query-blocked [`kernel_expansion`]: each
+/// feature pass evaluates 4 support vectors against 4 test points.
 ///
 /// Panics on a feature-count mismatch; long-lived callers that must never
 /// panic on untrusted query batches use [`try_predict_decision_values`].
@@ -581,7 +581,8 @@ pub fn predict_decision_values<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>)
         x.cols(),
         model.features()
     );
-    decision_values_panel(model, x)
+    let isa = Isa::select();
+    kernel_expansion(&model.kernel, isa, &model.sv, &model.coef, model.bias(), x)
 }
 
 /// Fallible [`predict_decision_values`]: returns a structured
@@ -593,7 +594,7 @@ pub fn try_predict_decision_values<T: Real>(
     x: &DenseMatrix<T>,
 ) -> Result<Vec<T>, SvmError> {
     validate_query_batch(model.features(), x)?;
-    Ok(decision_values_panel(model, x))
+    Ok(predict_decision_values(model, x))
 }
 
 /// Fallible [`predict_labels`] with the same validation as
@@ -633,34 +634,57 @@ pub(crate) fn validate_query_batch<T: Real>(
     Ok(())
 }
 
-/// The panel-microkernel decision-value sweep shared by the panicking and
-/// fallible entry points.
-fn decision_values_panel<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>) -> Vec<T> {
-    use crate::kernel::{kernel_panel, PANEL_MR};
-    let b = model.bias();
-    let m = model.sv.rows();
-    let isa = crate::simd::Isa::select();
-    (0..x.rows())
-        .into_par_iter()
-        .map(|p| {
-            let row = x.row(p);
-            let mut acc = b;
-            let mut i = 0;
-            while i < m {
-                let h = (m - i).min(PANEL_MR);
-                let mut ra: [&[T]; PANEL_MR] = [row; PANEL_MR];
-                for (a, slot) in ra.iter_mut().enumerate().take(h) {
-                    *slot = model.sv.row(i + a);
+/// Support-vector rows per tile of [`kernel_expansion`]: every query block
+/// sweeps a tile while it is still in L2.
+const SV_TILE: usize = 256;
+
+/// The kernel expansion `f(x_p) = b + Σᵢ coefᵢ·k(svᵢ, x_p)` (Eq. 10) for
+/// every row of `x`, the one prediction engine of binary, multiclass and
+/// regression models. Each panel evaluates 4 support vectors × 4 queries;
+/// 2–3 row tails pad with the block's first row and drop those columns,
+/// a lone row keeps a 4×1 panel. Panel entries equal the per-pair values
+/// bit for bit and each query sums in order `i = 0..m`, so the blocking
+/// never changes a result.
+pub fn kernel_expansion<T: Real>(
+    kernel: &KernelSpec<T>,
+    isa: Isa,
+    sv: &DenseMatrix<T>,
+    coef: &[T],
+    bias: T,
+    x: &DenseMatrix<T>,
+) -> Vec<T> {
+    use crate::kernel::{kernel_panel, PANEL_MR, PANEL_NR};
+    let m = sv.rows();
+    let mut out = vec![bias; x.rows()];
+    for tile in (0..m).step_by(SV_TILE) {
+        let tile_end = (tile + SV_TILE).min(m);
+        out.par_chunks_mut(PANEL_NR)
+            .enumerate()
+            .for_each(|(ci, acc)| {
+                let base = ci * PANEL_NR;
+                let mut rb: [&[T]; PANEL_NR] = [x.row(base); PANEL_NR];
+                for (b, slot) in rb.iter_mut().enumerate().take(acc.len()) {
+                    *slot = x.row(base + b);
                 }
-                let panel = kernel_panel(&model.kernel, isa, &ra[..h], &[row]);
-                for (a, prow) in panel.iter().enumerate().take(h) {
-                    acc = model.coef[i + a].mul_add(prow[0], acc);
+                let rb = if acc.len() == 1 { &rb[..1] } else { &rb[..] };
+                let mut i = tile;
+                while i < tile_end {
+                    let h = (tile_end - i).min(PANEL_MR);
+                    let mut ra: [&[T]; PANEL_MR] = [rb[0]; PANEL_MR];
+                    for (a, slot) in ra.iter_mut().enumerate().take(h) {
+                        *slot = sv.row(i + a);
+                    }
+                    let panel = kernel_panel(kernel, isa, &ra[..h], rb);
+                    for (a, prow) in panel.iter().enumerate().take(h) {
+                        for (o, &k) in acc.iter_mut().zip(prow) {
+                            *o = coef[i + a].mul_add(k, *o);
+                        }
+                    }
+                    i += h;
                 }
-                i += h;
-            }
-            acc
-        })
-        .collect()
+            });
+    }
+    out
 }
 
 /// Predicted ±1 signs for every row of `x`.

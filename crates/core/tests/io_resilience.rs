@@ -7,6 +7,7 @@
 //! be observationally identical to [`RealVfs`].
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use plssvm_core::backend::BackendSelection;
@@ -41,7 +42,12 @@ fn trainer() -> LsSvm<f64> {
 }
 
 fn scratch_dir(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("plssvm-io-res-{}-{label}", std::process::id()));
+    // Every test builds its own reference run in parallel: a per-call
+    // suffix keeps one test's cleanup from deleting another's live journal.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("plssvm-io-res-{}-{label}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -2,11 +2,12 @@
 //!
 //! The build environment has no network access to a crates registry, so the
 //! workspace vendors the API subset it uses. The "parallel" iterators here
-//! are the corresponding **sequential** standard-library iterators: this
-//! container exposes a single CPU core, so work-stealing threads would add
-//! overhead without speedup — and sequential execution makes every
-//! reduction order (including simulated-GPU `atomicAdd` accumulation)
-//! bitwise deterministic, which the telemetry determinism tests rely on.
+//! are the corresponding **sequential** standard-library iterators, by
+//! choice: the reference host has 2 vCPUs, but sequential execution makes
+//! every reduction order (including simulated-GPU `atomicAdd`
+//! accumulation) bitwise deterministic, which the telemetry determinism
+//! tests rely on. Training and batch prediction therefore run on one
+//! core.
 //!
 //! Because the adaptors *are* `std` iterators, every chained combinator
 //! (`map`, `zip`, `enumerate`, `for_each`, `collect::<Result<_, _>>`, …)
