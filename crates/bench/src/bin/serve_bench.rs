@@ -15,10 +15,11 @@
 //!
 //! Each mode runs three repetitions and reports its best (the standard
 //! defense against scheduler noise on a shared box; `--smoke` runs one).
-//! Writes `bench_results/serve_latency.csv` (`mode,metric,value` rows:
-//! throughput, p50/p99/mean latency, batch-size distribution) and
-//! asserts batched throughput is at least 5x single-request throughput
-//! unless `--smoke` (CI's quick leg) is given.
+//! Asserts batched throughput is at least 5x single-request throughput
+//! unless `--smoke` (CI's quick leg) is given, then writes
+//! `bench_results/serve_latency.csv` (`mode,metric,value` rows:
+//! throughput, p50/p99/mean latency, batch-size distribution); a run
+//! that fails the check writes nothing.
 //!
 //! `serve_bench overload` instead runs the **overload sweep**: it
 //! estimates the serving capacity of one pipelined connection, then
@@ -475,12 +476,10 @@ fn run_overload_sweep(smoke: bool) {
         ));
         points.push(p);
     }
-    let path = results_path("serve_overload.csv");
-    plssvm_data::write_atomic(&path, csv.as_bytes()).expect("write csv");
-    println!("wrote {}", path.display());
-
     // every point answered all n requests (asserted inline); above
-    // capacity the server must shed rather than queue without bound
+    // capacity the server must shed rather than queue without bound. The
+    // checks run before the CSV is written, so a failing run leaves no
+    // artifact behind.
     if !smoke {
         let at_4x = points.last().expect("three points");
         assert!(
@@ -493,6 +492,9 @@ fn run_overload_sweep(smoke: bool) {
         );
         println!("SUCCESS: sheds above capacity, goodput stays nonzero");
     }
+    let path = results_path("serve_overload.csv");
+    plssvm_data::write_atomic(&path, csv.as_bytes()).expect("write csv");
+    println!("wrote {}", path.display());
 }
 
 fn main() {
@@ -515,10 +517,7 @@ fn main() {
     push_mode_rows(&mut csv, "single", &single, &single_t);
     push_mode_rows(&mut csv, "batched", &batched, &batched_t);
     csv.push_str(&format!("summary,speedup,{speedup:.2}\n"));
-    let path = results_path("serve_latency.csv");
-    plssvm_data::write_atomic(&path, csv.as_bytes()).expect("write csv");
-    println!("wrote {}", path.display());
-
+    // check before writing: a run that misses the claim leaves no CSV
     if !smoke {
         assert!(
             speedup >= 5.0,
@@ -526,4 +525,7 @@ fn main() {
         );
         println!("SUCCESS: batched >= 5x single-request throughput");
     }
+    let path = results_path("serve_latency.csv");
+    plssvm_data::write_atomic(&path, csv.as_bytes()).expect("write csv");
+    println!("wrote {}", path.display());
 }

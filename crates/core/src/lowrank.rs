@@ -30,6 +30,26 @@
 //! factorization linear algebra runs in f64 regardless of the working
 //! precision `T`.
 //!
+//! **Dense kernels.** Three loops carry the factorization cost, each a
+//! plain-Rust body compiled once per ISA tier under `#[target_feature]`
+//! and dispatched on the tier the solve selected:
+//!
+//! * the capacitance update `S += CᵀD⁻¹C` fills only the lower triangle
+//!   (`m·k²/2` multiply-adds), walking `C` in 256-row blocks that stay in
+//!   L2 while a 4×16 tile of `S` sits in registers;
+//! * the Cholesky factorization is right-looking: each finalized column
+//!   is copied out once and folded into the trailing rows by contiguous
+//!   vector loops;
+//! * a Woodbury apply shares each pass over `C` between its vectors, and
+//!   computes `C·t` four rows at a time, each row one `mul_add` chain.
+//!
+//! Every output element sees the same operations in the same order as
+//! the plain rank-one, left-looking and row-by-row loops the unit tests
+//! keep as references: multiplies and adds stay unfused where those
+//! loops keep them apart, and `mul_add` is correctly rounded in hardware
+//! and in libm alike. The blocking therefore never changes a bit, on any
+//! tier.
+//!
 //! **Escalation flow** (the pre-ladder in front of
 //! [`crate::guard::solve_with_guardrails`]):
 //!
@@ -60,6 +80,7 @@ use crate::error::SvmError;
 use crate::guard::{solve_with_guardrails, GuardedSolve, JacobiDiagonal, RecoveryPolicy};
 use crate::kernel::{dot, kernel_panel, PANEL_MR, PANEL_NR};
 use crate::matrix_free::QTildeParams;
+use crate::simd::Isa;
 use crate::trace::{
     CgIterationSample, CgOutcomeSample, LowRankSample, MetricsSink, RecoveryKind, RecoverySample,
 };
@@ -167,16 +188,71 @@ impl SolverSelection {
 /// rounding deficiency).
 const MAX_JITTER_STEPS: usize = 12;
 
+/// Rows of `C` per block of the capacitance update: 256 rows of a rank-512
+/// `C` are 1 MiB, which stays in L2 while every tile of `S` sweeps it.
+const CAP_ROW_BLOCK: usize = 256;
+/// Rows of the `S` tile the capacitance update keeps in registers.
+const CAP_TILE_ROWS: usize = 4;
+/// Columns of that tile: two f64×8 vectors per row on AVX-512.
+const CAP_TILE_COLS: usize = 16;
+
+/// Defines `$name(isa, args…)`, which runs the plain-Rust kernel `$body`
+/// compiled under `#[target_feature]` for the AVX-512 and AVX2 tiers and
+/// calls it directly on every other tier. The bodies never fuse a
+/// multiply and an add that the scalar build keeps apart, and every
+/// `mul_add` is correctly rounded in hardware and in libm alike, so all
+/// tiers compute the same bits; only the vector width changes.
+macro_rules! tiered {
+    (
+        $(#[$doc:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+    ) => {
+        $(#[$doc])*
+        fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                /// # Safety
+                /// The CPU must support AVX-512F.
+                #[target_feature(enable = "avx512f")]
+                unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                /// # Safety
+                /// The CPU must support AVX2 and FMA.
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                match isa.clamp_supported() {
+                    // SAFETY: `clamp_supported` only returns a tier whose
+                    // features the running CPU reports.
+                    Isa::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above.
+                    Isa::Avx2 => return unsafe { avx2($($arg),*) },
+                    _ => {}
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = isa;
+            $body($($arg),*)
+        }
+    };
+}
+
 /// Assembles the kernel block `out[i][j] = k(rows_a[i], rows_b[j])`
 /// through the panel micro-kernel, upcast to f64 (row-major
 /// `rows_a.len() × rows_b.len()`).
-fn assemble_block<T: Real>(kernel: &KernelSpec<T>, rows_a: &[&[T]], rows_b: &[&[T]]) -> Vec<f64> {
+fn assemble_block<T: Real>(
+    kernel: &KernelSpec<T>,
+    isa: Isa,
+    rows_a: &[&[T]],
+    rows_b: &[&[T]],
+) -> Vec<f64> {
     let (m, k) = (rows_a.len(), rows_b.len());
     let mut out = vec![0.0f64; m * k];
     if m == 0 || k == 0 {
         return out;
     }
-    let isa = crate::simd::Isa::select();
     let mut i = 0;
     while i < m {
         let h = (m - i).min(PANEL_MR);
@@ -200,22 +276,114 @@ fn assemble_block<T: Real>(kernel: &KernelSpec<T>, rows_a: &[&[T]], rows_b: &[&[
     out
 }
 
-/// In-place lower Cholesky of the row-major `k×k` matrix. Fails (with the
-/// offending pivot index) on a non-positive or non-finite pivot.
-fn cholesky(a: &mut [f64], k: usize) -> Result<(), usize> {
-    for i in 0..k {
-        for j in 0..=i {
-            let mut s = a[i * k + j];
-            for p in 0..j {
-                s -= a[i * k + p] * a[j * k + p];
-            }
-            if i == j {
-                if !(s.is_finite() && s > 0.0) {
-                    return Err(i);
+tiered! {
+    /// Adds `CᵀD⁻¹C` to the lower triangle of the row-major `k×k` matrix
+    /// `s`: `s[j1][j2] += (d_i·C[i,j1])·C[i,j2]` for `j2 ≤ j1`, in
+    /// ascending `i` for every element. The upper triangle is left
+    /// partially updated; nothing reads it.
+    fn capacitance_update(
+        s: &mut [f64],
+        c: &[f64],
+        inv_d: &[f64],
+        k: usize,
+    ) = capacitance_update_body;
+}
+
+#[inline(always)]
+fn capacitance_update_body(s: &mut [f64], c: &[f64], inv_d: &[f64], k: usize) {
+    let n = inv_d.len();
+    assert!(s.len() == k * k && c.len() == n * k);
+    for i0 in (0..n).step_by(CAP_ROW_BLOCK) {
+        let block = i0..(i0 + CAP_ROW_BLOCK).min(n);
+        for r0 in (0..k).step_by(CAP_TILE_ROWS) {
+            let r_end = (r0 + CAP_TILE_ROWS).min(k);
+            for c0 in (0..r_end).step_by(CAP_TILE_COLS) {
+                let c_end = (c0 + CAP_TILE_COLS).min(k);
+                if r_end - r0 == CAP_TILE_ROWS && c_end - c0 == CAP_TILE_COLS {
+                    capacitance_tile(s, c, inv_d, k, block.clone(), r0, c0);
+                } else {
+                    for i in block.clone() {
+                        let row = &c[i * k..(i + 1) * k];
+                        for j1 in r0..r_end {
+                            let f = inv_d[i] * row[j1];
+                            let srow = &mut s[j1 * k + c0..j1 * k + c_end.min(j1 + 1)];
+                            for (sv, &cv) in srow.iter_mut().zip(&row[c0..]) {
+                                *sv += f * cv;
+                            }
+                        }
+                    }
                 }
-                a[i * k + i] = s.sqrt();
-            } else {
-                a[i * k + j] = s / a[j * k + j];
+            }
+        }
+    }
+}
+
+/// One full `CAP_TILE_ROWS × CAP_TILE_COLS` tile of the capacitance update
+/// at `(r0, c0)`, held in registers across the block's rows.
+#[inline(always)]
+fn capacitance_tile(
+    s: &mut [f64],
+    c: &[f64],
+    inv_d: &[f64],
+    k: usize,
+    block: std::ops::Range<usize>,
+    r0: usize,
+    c0: usize,
+) {
+    let mut acc = [[0.0f64; CAP_TILE_COLS]; CAP_TILE_ROWS];
+    for (a, tile_row) in acc.iter_mut().enumerate() {
+        tile_row.copy_from_slice(&s[(r0 + a) * k + c0..][..CAP_TILE_COLS]);
+    }
+    for i in block {
+        let row = &c[i * k..(i + 1) * k];
+        let cols: &[f64; CAP_TILE_COLS] = row[c0..c0 + CAP_TILE_COLS]
+            .try_into()
+            .expect("the tile lies inside the row");
+        for (a, tile_row) in acc.iter_mut().enumerate() {
+            let f = inv_d[i] * row[r0 + a];
+            for (sv, &cv) in tile_row.iter_mut().zip(cols) {
+                *sv += f * cv;
+            }
+        }
+    }
+    for (a, tile_row) in acc.iter().enumerate() {
+        s[(r0 + a) * k + c0..][..CAP_TILE_COLS].copy_from_slice(tile_row);
+    }
+}
+
+tiered! {
+    /// In-place lower Cholesky of the row-major `k×k` matrix, reading only
+    /// its lower triangle. Fails (with the offending pivot index) on a
+    /// non-positive or non-finite pivot.
+    fn cholesky(a: &mut [f64], k: usize) -> Result<(), usize> = cholesky_body;
+}
+
+/// Right-looking: column `p` is finalized, copied into `col`, and folded
+/// into each trailing row as one contiguous `a[i][j] -= l_ip·l_jp` sweep.
+/// Every element sees the same subtractions in the same `p` order as the
+/// left-looking `s -= l_ip·l_jp` recurrence, so the factor and the failing
+/// pivot are the same bit for bit.
+#[inline(always)]
+fn cholesky_body(a: &mut [f64], k: usize) -> Result<(), usize> {
+    assert_eq!(a.len(), k * k);
+    let mut col = vec![0.0f64; k];
+    for p in 0..k {
+        let pivot = a[p * k + p];
+        if !(pivot.is_finite() && pivot > 0.0) {
+            return Err(p);
+        }
+        let lpp = pivot.sqrt();
+        a[p * k + p] = lpp;
+        for i in p + 1..k {
+            let lip = a[i * k + p] / lpp;
+            a[i * k + p] = lip;
+            col[i] = lip;
+        }
+        for i in p + 1..k {
+            let lip = col[i];
+            let row = &mut a[i * k + p + 1..=i * k + i];
+            for (v, &ljp) in row.iter_mut().zip(&col[p + 1..=i]) {
+                *v -= lip * ljp;
             }
         }
     }
@@ -245,7 +413,7 @@ fn chol_solve(l: &[f64], k: usize, x: &mut [f64]) {
 /// Returns the factor and the number of jitter steps taken (0 = clean), or
 /// `None` when even the largest jitter cannot make the matrix factorable
 /// (non-finite entries).
-fn cholesky_with_jitter(s: &[f64], k: usize) -> Option<(Vec<f64>, usize)> {
+fn cholesky_with_jitter(isa: Isa, s: &[f64], k: usize) -> Option<(Vec<f64>, usize)> {
     let trace: f64 = (0..k).map(|i| s[i * k + i]).sum();
     let base = if trace.is_finite() && trace > 0.0 {
         trace / k as f64
@@ -260,23 +428,84 @@ fn cholesky_with_jitter(s: &[f64], k: usize) -> Option<(Vec<f64>, usize)> {
                 a[i * k + i] += tau;
             }
         }
-        if cholesky(&mut a, k).is_ok() {
+        if cholesky(isa, &mut a, k).is_ok() {
             return Some((a, step));
         }
     }
     None
 }
 
+tiered! {
+    /// `y ← A₁⁻¹·v = D⁻¹v − D⁻¹C·S⁻¹·CᵀD⁻¹v` for every `y` in `ys`, each
+    /// holding `v` on entry, with one shared pass over `C` per product.
+    fn a1_inv_apply(
+        c: &[f64],
+        inv_d: &[f64],
+        s_chol: &[f64],
+        k: usize,
+        ys: &mut [Vec<f64>],
+    ) = a1_inv_apply_body;
+}
+
+/// `Cᵀ·(D⁻¹v)` accumulates row by row in ascending `i`; `C·t` runs four
+/// rows at a time, each row its own sequential `mul_add` chain, which is
+/// [`dot`] bit for bit.
+#[inline(always)]
+fn a1_inv_apply_body(c: &[f64], inv_d: &[f64], s_chol: &[f64], k: usize, ys: &mut [Vec<f64>]) {
+    let n = inv_d.len();
+    assert!(c.len() == n * k && ys.iter().all(|y| y.len() == n));
+    for y in ys.iter_mut() {
+        for (yv, &d) in y.iter_mut().zip(inv_d) {
+            *yv *= d;
+        }
+    }
+    let mut ts = vec![vec![0.0f64; k]; ys.len()];
+    for (i, row) in c.chunks_exact(k).enumerate() {
+        for (t, y) in ts.iter_mut().zip(ys.iter()) {
+            let dvi = y[i];
+            for (tj, &cij) in t.iter_mut().zip(row) {
+                *tj += dvi * cij;
+            }
+        }
+    }
+    for t in &mut ts {
+        chol_solve(s_chol, k, t);
+    }
+    let quads = n - n % 4;
+    for i0 in (0..quads).step_by(4) {
+        let rows: [&[f64]; 4] = std::array::from_fn(|a| &c[(i0 + a) * k..(i0 + a + 1) * k]);
+        for (t, y) in ts.iter().zip(ys.iter_mut()) {
+            let mut acc = [0.0f64; 4];
+            for (j, &tj) in t.iter().enumerate() {
+                for (s, row) in acc.iter_mut().zip(&rows) {
+                    *s = row[j].mul_add(tj, *s);
+                }
+            }
+            for (a, &s) in acc.iter().enumerate() {
+                y[i0 + a] -= inv_d[i0 + a] * s;
+            }
+        }
+    }
+    for i in quads..n {
+        for (t, y) in ts.iter().zip(ys.iter_mut()) {
+            y[i] -= inv_d[i] * dot(&c[i * k..(i + 1) * k], t);
+        }
+    }
+}
+
 /// The factored Nyström approximation `Â = D + C·W⁻¹·Cᵀ + P·M·Pᵀ` of `Q̃`,
 /// applied as `Â⁻¹·v` through the two nested Woodbury identities of the
 /// module docs. All storage and arithmetic are f64.
 struct NystromFactor {
+    /// The ISA tier the dense kernels run on.
+    isa: Isa,
     k: usize,
     /// `C = K[:,L]`, row-major `n×k`.
     c: Vec<f64>,
     /// `D⁻¹` (reciprocal ridge), length `n`.
     inv_d: Vec<f64>,
-    /// Lower Cholesky factor of `S = W + τI + CᵀD⁻¹C`, row-major `k×k`.
+    /// Lower Cholesky factor of `S = W + τI + CᵀD⁻¹C`, row-major `k×k`
+    /// (only the lower triangle is meaningful).
     s_chol: Vec<f64>,
     /// Jitter steps the capacitance factorization needed (0 = clean).
     jitter_steps: usize,
@@ -302,32 +531,23 @@ impl NystromFactor {
         params: &QTildeParams<T>,
         data: &DenseMatrix<T>,
         kernel: &KernelSpec<T>,
+        isa: Isa,
         landmarks: &[usize],
     ) -> Option<Self> {
         let n = params.dim();
         let k = landmarks.len();
         let rows: Vec<&[T]> = (0..n).map(|i| data.row(i)).collect();
         let lm: Vec<&[T]> = landmarks.iter().map(|&j| data.row(j)).collect();
-        let c = assemble_block(kernel, &rows, &lm);
-        let mut s = assemble_block(kernel, &lm, &lm);
+        let c = assemble_block(kernel, isa, &rows, &lm);
+        let mut s = assemble_block(kernel, isa, &lm, &lm);
         let inv_d: Vec<f64> = (0..n).map(|i| 1.0 / params.ridge(i).to_f64()).collect();
-        // S = W + CᵀD⁻¹C, accumulated as n rank-one updates over the
-        // contiguous rows of C
-        for i in 0..n {
-            let row = &c[i * k..(i + 1) * k];
-            let di = inv_d[i];
-            for j1 in 0..k {
-                let f = di * row[j1];
-                let srow = &mut s[j1 * k..(j1 + 1) * k];
-                for (sv, &cv) in srow.iter_mut().zip(row) {
-                    *sv += f * cv;
-                }
-            }
-        }
-        let (s_chol, jitter_steps) = cholesky_with_jitter(&s, k)?;
+        // S = W + CᵀD⁻¹C, lower triangle only, in m·k²/2 multiply-adds
+        capacitance_update(isa, &mut s, &c, &inv_d, k);
+        let (s_chol, jitter_steps) = cholesky_with_jitter(isa, &s, k)?;
 
         let q: Vec<f64> = params.q.iter().map(|v| v.to_f64()).collect();
         let mut partial = Self {
+            isa,
             k,
             c,
             inv_d,
@@ -340,8 +560,9 @@ impl NystromFactor {
             g_det: 0.0,
             rank2_usable: false,
         };
-        let u1 = partial.apply_a1_inv(&partial.q);
-        let u2 = partial.apply_a1_inv(&vec![1.0; n]);
+        let mut u = [partial.q.clone(), vec![1.0; n]];
+        partial.apply_a1_inv(&mut u);
+        let [u1, u2] = u;
         // G = M⁻¹ + PᵀA₁⁻¹P with M⁻¹ = [[−q_mm,−1],[−1,0]] (det M = −1)
         let q_mm = params.q_mm().to_f64();
         let g = [
@@ -360,28 +581,17 @@ impl NystromFactor {
         Some(partial)
     }
 
-    /// `A₁⁻¹·v = D⁻¹v − D⁻¹C·S⁻¹·CᵀD⁻¹v` (stage-one Woodbury).
-    fn apply_a1_inv(&self, v: &[f64]) -> Vec<f64> {
-        let k = self.k;
-        let mut dv: Vec<f64> = v.iter().zip(&self.inv_d).map(|(a, b)| a * b).collect();
-        let mut t = vec![0.0f64; k];
-        for (i, &dvi) in dv.iter().enumerate() {
-            let row = &self.c[i * k..(i + 1) * k];
-            for (tj, &cij) in t.iter_mut().zip(row) {
-                *tj += dvi * cij;
-            }
-        }
-        chol_solve(&self.s_chol, k, &mut t);
-        for (i, dvi) in dv.iter_mut().enumerate() {
-            let row = &self.c[i * k..(i + 1) * k];
-            *dvi -= self.inv_d[i] * dot(row, &t);
-        }
-        dv
+    /// `v ← A₁⁻¹·v = D⁻¹v − D⁻¹C·S⁻¹·CᵀD⁻¹v` (stage-one Woodbury) for every
+    /// vector of `vs`, sharing each pass over `C`.
+    fn apply_a1_inv(&self, vs: &mut [Vec<f64>]) {
+        a1_inv_apply(self.isa, &self.c, &self.inv_d, &self.s_chol, self.k, vs);
     }
 
     /// `Â⁻¹·v` (both Woodbury stages).
     fn apply_inv(&self, v: &[f64]) -> Vec<f64> {
-        let mut y = self.apply_a1_inv(v);
+        let mut ys = [v.to_vec()];
+        self.apply_a1_inv(&mut ys);
+        let [mut y] = ys;
         if self.rank2_usable {
             let t1 = dot(&self.q, &y);
             let t2: f64 = y.iter().sum();
@@ -401,6 +611,7 @@ fn select_landmarks<T: Real>(
     params: &QTildeParams<T>,
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
+    isa: Isa,
     k: usize,
     seed: u64,
     strategy: LandmarkStrategy,
@@ -416,13 +627,13 @@ fn select_landmarks<T: Real>(
             let p = pilot.len();
             let rows: Vec<&[T]> = (0..n).map(|i| data.row(i)).collect();
             let lm: Vec<&[T]> = pilot.iter().map(|&j| data.row(j)).collect();
-            let c = assemble_block(kernel, &rows, &lm);
-            let mut w = assemble_block(kernel, &lm, &lm);
+            let c = assemble_block(kernel, isa, &rows, &lm);
+            let mut w = assemble_block(kernel, isa, &lm, &lm);
             let lambda = (0..n).map(|i| params.ridge(i).to_f64()).sum::<f64>() / (n.max(1) as f64);
             for j in 0..p {
                 w[j * p + j] += lambda;
             }
-            match cholesky_with_jitter(&w, p) {
+            match cholesky_with_jitter(isa, &w, p) {
                 Some((l, _)) => {
                     let scores: Vec<f64> = (0..n)
                         .map(|i| {
@@ -540,8 +751,9 @@ pub fn solve_lowrank<T: Real>(
     }
 
     let t_assembly = Instant::now();
-    let landmarks = select_landmarks(params, data, kernel, k, seed, strategy);
-    let factor = NystromFactor::build(params, data, kernel, &landmarks);
+    let isa = Isa::select();
+    let landmarks = select_landmarks(params, data, kernel, isa, k, seed, strategy);
+    let factor = NystromFactor::build(params, data, kernel, isa, &landmarks);
     let assembly_wall = t_assembly.elapsed();
 
     let Some(factor) = factor else {
@@ -838,6 +1050,7 @@ mod tests {
             op.params(),
             &data,
             &kernel,
+            Isa::select(),
             12,
             DEFAULT_SEED,
             LandmarkStrategy::Uniform,
@@ -846,6 +1059,7 @@ mod tests {
             op.params(),
             &data,
             &kernel,
+            Isa::select(),
             12,
             DEFAULT_SEED,
             LandmarkStrategy::Leverage,
@@ -931,12 +1145,178 @@ mod tests {
 
     #[test]
     fn cholesky_jitter_ladder_handles_rank_deficiency() {
-        // a singular PSD matrix factors only through jitter
-        let s = vec![1.0, 1.0, 1.0, 1.0];
-        let (l, steps) = cholesky_with_jitter(&s, 2).expect("jitter must rescue");
-        assert!(steps > 0);
-        assert!(l.iter().all(|v| v.is_finite()));
-        // a matrix of NaNs is unfactorable at any jitter
-        assert!(cholesky_with_jitter(&[f64::NAN; 4], 2).is_none());
+        for isa in Isa::available() {
+            // a singular PSD matrix factors only through jitter
+            let s = vec![1.0, 1.0, 1.0, 1.0];
+            let (l, steps) = cholesky_with_jitter(isa, &s, 2).expect("jitter must rescue");
+            assert!(steps > 0);
+            assert!(l.iter().all(|v| v.is_finite()));
+            // a matrix of NaNs is unfactorable at any jitter
+            assert!(cholesky_with_jitter(isa, &[f64::NAN; 4], 2).is_none());
+        }
+    }
+
+    /// The rank-one capacitance loop the blocked update replaced.
+    fn reference_capacitance_update(s: &mut [f64], c: &[f64], inv_d: &[f64], k: usize) {
+        for (i, &di) in inv_d.iter().enumerate() {
+            let row = &c[i * k..(i + 1) * k];
+            for j1 in 0..k {
+                let f = di * row[j1];
+                let srow = &mut s[j1 * k..(j1 + 1) * k];
+                for (sv, &cv) in srow.iter_mut().zip(row) {
+                    *sv += f * cv;
+                }
+            }
+        }
+    }
+
+    /// The left-looking Cholesky the right-looking one replaced.
+    fn reference_cholesky(a: &mut [f64], k: usize) -> Result<(), usize> {
+        for i in 0..k {
+            for j in 0..=i {
+                let mut s = a[i * k + j];
+                for p in 0..j {
+                    s -= a[i * k + p] * a[j * k + p];
+                }
+                if i == j {
+                    if !(s.is_finite() && s > 0.0) {
+                        return Err(i);
+                    }
+                    a[i * k + i] = s.sqrt();
+                } else {
+                    a[i * k + j] = s / a[j * k + j];
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one-vector stage-one Woodbury apply the shared pass replaced.
+    fn reference_a1_inv(c: &[f64], inv_d: &[f64], l: &[f64], k: usize, v: &[f64]) -> Vec<f64> {
+        let mut dv: Vec<f64> = v.iter().zip(inv_d).map(|(a, b)| a * b).collect();
+        let mut t = vec![0.0f64; k];
+        for (i, &dvi) in dv.iter().enumerate() {
+            let row = &c[i * k..(i + 1) * k];
+            for (tj, &cij) in t.iter_mut().zip(row) {
+                *tj += dvi * cij;
+            }
+        }
+        chol_solve(l, k, &mut t);
+        for (i, dvi) in dv.iter_mut().enumerate() {
+            let row = &c[i * k..(i + 1) * k];
+            *dvi -= inv_d[i] * dot(row, &t);
+        }
+        dv
+    }
+
+    /// Deterministic values in `[-1, 1)`.
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+            })
+            .collect()
+    }
+
+    /// A Nyström-shaped capacitance problem: `C` (`n×k`), `D⁻¹` and the
+    /// SPD starting block `W`.
+    fn capacitance_problem(n: usize, k: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let c = noise(n * k, seed);
+        let inv_d: Vec<f64> = noise(n, seed + 1).iter().map(|v| 1.5 + v).collect();
+        let b = noise(k * k, seed + 2);
+        let mut w = vec![0.0; k * k];
+        for i in 0..k {
+            for j in 0..k {
+                w[i * k + j] = dot(&b[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            }
+            w[i * k + i] += k as f64;
+        }
+        (c, inv_d, w)
+    }
+
+    fn lower_bits(a: &[f64], k: usize) -> Vec<u64> {
+        (0..k)
+            .flat_map(|i| (0..=i).map(move |j| a[i * k + j].to_bits()))
+            .collect()
+    }
+
+    const ROWS: [usize; 6] = [1, 2, 255, 256, 257, 1031];
+    const RANKS: [usize; 10] = [1, 2, 3, 4, 5, 15, 16, 17, 33, 64];
+
+    #[test]
+    fn blocked_capacitance_update_matches_rank_one_loop_bitwise() {
+        for isa in Isa::available() {
+            for (ni, &n) in ROWS.iter().enumerate() {
+                for (ki, &k) in RANKS.iter().enumerate() {
+                    let (c, inv_d, w) = capacitance_problem(n, k, (ni * 16 + ki) as u64);
+                    let mut want = w.clone();
+                    reference_capacitance_update(&mut want, &c, &inv_d, k);
+                    let mut got = w;
+                    capacitance_update(isa, &mut got, &c, &inv_d, k);
+                    assert_eq!(
+                        lower_bits(&got, k),
+                        lower_bits(&want, k),
+                        "{isa}: n = {n}, k = {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn right_looking_cholesky_matches_left_looking_bitwise() {
+        for isa in Isa::available() {
+            for (ki, &k) in RANKS.iter().enumerate() {
+                let (c, inv_d, mut s) = capacitance_problem(257, k, 100 + ki as u64);
+                reference_capacitance_update(&mut s, &c, &inv_d, k);
+                let mut want = s.clone();
+                assert_eq!(reference_cholesky(&mut want, k), Ok(()));
+                let mut got = s.clone();
+                assert_eq!(cholesky(isa, &mut got, k), Ok(()), "{isa}: k = {k}");
+                assert_eq!(lower_bits(&got, k), lower_bits(&want, k), "{isa}: k = {k}");
+
+                // an indefinite trailing block and a NaN entry fail at the
+                // same pivot in both versions
+                let (mid, last) = (k / 2, k - 1);
+                let mut indefinite = s.clone();
+                indefinite[mid * k + mid] = -1.0;
+                let mut nan = s.clone();
+                nan[last * k + mid] = f64::NAN;
+                for bad in [indefinite, nan] {
+                    let want = reference_cholesky(&mut bad.clone(), k);
+                    assert!(want.is_err());
+                    assert_eq!(cholesky(isa, &mut bad.clone(), k), want, "{isa}: k = {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shared_pass_woodbury_apply_matches_reference_bitwise() {
+        for isa in Isa::available() {
+            for (ni, &n) in ROWS.iter().enumerate() {
+                for &k in &[1, 5, 17, 64] {
+                    let (c, inv_d, mut s) = capacitance_problem(n, k, 200 + ni as u64);
+                    reference_capacitance_update(&mut s, &c, &inv_d, k);
+                    reference_cholesky(&mut s, k).expect("SPD by construction");
+                    let q = noise(n, 300 + ni as u64);
+                    let ones = vec![1.0; n];
+                    let mut pair = [q.clone(), ones.clone()];
+                    a1_inv_apply(isa, &c, &inv_d, &s, k, &mut pair);
+                    for (got, v) in pair.iter().zip([&q, &ones]) {
+                        let mut single = [v.clone()];
+                        a1_inv_apply(isa, &c, &inv_d, &s, k, &mut single);
+                        let want = reference_a1_inv(&c, &inv_d, &s, k, v);
+                        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(&want), "{isa}: n = {n}, k = {k}");
+                        assert_eq!(bits(&single[0]), bits(&want), "{isa}: n = {n}, k = {k}");
+                    }
+                }
+            }
+        }
     }
 }
