@@ -1,12 +1,15 @@
 //! Figure 4 — strong scaling on a many-core CPU (4a) and on multiple
 //! GPUs (4b).
 //!
-//! This host exposes a single CPU core, so 4a pairs a measured single-core
-//! baseline with a documented scaling model: the `cg` component follows
-//! Amdahl's law with a serial fraction fitted to the paper's observed
-//! 74.7× speedup on 256 threads; `read`/`write` scale to ~16 cores and
-//! *degrade* past one socket (64 cores), as the paper reports. Any
-//! additional cores present are measured for real.
+//! 4a measures the `openmp` backend for real at every power-of-two thread
+//! count up to the host's available parallelism (1 and 2 threads on a
+//! 2-vCPU host), then extends the curve with a documented scaling model:
+//! the `cg` component follows Amdahl's law with a serial fraction fitted to
+//! the paper's observed 74.7× speedup on 256 threads; `read`/`write` scale
+//! to ~16 cores and *degrade* past one socket (64 cores), as the paper
+//! reports. At `--scale small` (128 × 32) one matvec is below the work
+//! grain (`plssvm_core::par::PAR_GRAIN`) and runs on one thread at every
+//! count; the medium scale (512 × 128) forks.
 //!
 //! 4b evaluates the validated multi-device work model at the paper's size
 //! (2¹⁶ points × 2¹⁴ features) for 1–4 simulated A100s — simulated time,

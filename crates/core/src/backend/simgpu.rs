@@ -24,8 +24,6 @@
 //!   vectors. Polynomial and radial kernels are single-device, as in the
 //!   paper.
 
-use rayon::prelude::*;
-
 use std::sync::{Mutex, RwLock};
 
 use plssvm_data::dense::SoAMatrix;
@@ -606,7 +604,8 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
         Ok(())
     }
 
-    /// Runs `job` once per live device (in parallel), with the recovery
+    /// Runs `job` once per live device, in ascending device order (fault
+    /// plans, retries and telemetry are ordered), with the recovery
     /// policy applied: transient timeouts retry in place with simulated
     /// exponential backoff; a fail-stop (or an exhausted retry budget)
     /// drops the device, redistributes its shard and re-runs the whole
@@ -615,8 +614,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
     /// non-fault device error such as out-of-memory).
     fn run_recovered<R, F>(&self, job: F) -> Result<Vec<R>, SvmError>
     where
-        R: Send,
-        F: Fn(&SimDevice, &DevicePart<T>) -> Result<R, SvmError> + Sync,
+        F: Fn(&SimDevice, &DevicePart<T>) -> Result<R, SvmError>,
     {
         loop {
             let live = self.live_indices();
@@ -628,7 +626,7 @@ impl<T: AtomicScalar> SimGpuBackend<T> {
             }
             let attempts: Vec<(usize, Result<R, SvmError>, Vec<RecoverySample>)> = {
                 let parts = self.parts.read().expect("parts lock");
-                live.par_iter()
+                live.iter()
                     .map(|&i| {
                         let dev = &self.devices[i];
                         let part = &parts[i];

@@ -23,6 +23,7 @@ use plssvm_data::Real;
 
 use crate::error::SvmError;
 use crate::matrix_free::QTildeParams;
+use crate::par::with_grain;
 
 /// Row-block granularity for the parallel row sweep.
 const ROW_BLOCK: usize = 32;
@@ -96,31 +97,37 @@ impl<T: Real> SparseBackend<T> {
         w
     }
 
-    /// `out = K·v` over the first `m−1` points, parallel over row blocks,
-    /// all kernel evaluations on CSR rows.
+    /// `out = K·v` over the first `m−1` points, parallel over row blocks
+    /// that each own their output rows, all kernel evaluations on CSR rows.
+    /// Runs on the calling thread below [`crate::par::PAR_GRAIN`], counting
+    /// one multiply-add per stored entry of each merged row pair.
     pub fn kernel_matvec(&self, v: &[T], out: &mut [T]) {
         let n = self.params.dim();
         debug_assert_eq!(v.len(), n);
         debug_assert_eq!(out.len(), n);
-        let work = |out: &mut [T]| {
-            out.par_chunks_mut(ROW_BLOCK)
-                .enumerate()
-                .for_each(|(block, chunk)| {
-                    let i0 = block * ROW_BLOCK;
-                    for (di, slot) in chunk.iter_mut().enumerate() {
-                        let i = i0 + di;
-                        let mut acc = T::ZERO;
-                        for (j, &vj) in v.iter().enumerate() {
-                            acc = kernel_sparse(&self.kernel, &self.csr, &self.self_dots, i, j)
-                                .mul_add(vj, acc);
+        let nnz_per_row = self.csr.nnz().div_ceil(self.csr.rows()).max(1);
+        let work = n as u128 * n as u128 * nnz_per_row as u128;
+        let run = |out: &mut [T]| {
+            with_grain(work, || {
+                out.par_chunks_mut(ROW_BLOCK)
+                    .enumerate()
+                    .for_each(|(block, chunk)| {
+                        let i0 = block * ROW_BLOCK;
+                        for (di, slot) in chunk.iter_mut().enumerate() {
+                            let i = i0 + di;
+                            let mut acc = T::ZERO;
+                            for (j, &vj) in v.iter().enumerate() {
+                                acc = kernel_sparse(&self.kernel, &self.csr, &self.self_dots, i, j)
+                                    .mul_add(vj, acc);
+                            }
+                            *slot = acc;
                         }
-                        *slot = acc;
-                    }
-                });
+                    });
+            })
         };
         match &self.pool {
-            Some(pool) => pool.install(|| work(out)),
-            None => work(out),
+            Some(pool) => pool.install(|| run(out)),
+            None => run(out),
         }
     }
 }

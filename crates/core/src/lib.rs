@@ -29,6 +29,7 @@ pub mod lowrank;
 pub mod matrix_free;
 pub mod model_selection;
 pub mod multiclass;
+pub mod par;
 pub mod regression;
 pub mod resilience;
 pub mod simd;

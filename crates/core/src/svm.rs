@@ -645,6 +645,12 @@ const SV_TILE: usize = 256;
 /// a lone row keeps a 4×1 panel. Panel entries equal the per-pair values
 /// bit for bit and each query sums in order `i = 0..m`, so the blocking
 /// never changes a result.
+///
+/// The query rows split into one contiguous share of whole 4-row blocks
+/// per thread, forked once per call; each share sweeps the SV tiles in its
+/// own cache. Rows × SVs × features under [`crate::par::PAR_GRAIN`] run on
+/// the calling thread. Every row is computed by exactly one share in the
+/// same order, so the thread count never changes a bit.
 pub fn kernel_expansion<T: Real>(
     kernel: &KernelSpec<T>,
     isa: Isa,
@@ -653,38 +659,60 @@ pub fn kernel_expansion<T: Real>(
     bias: T,
     x: &DenseMatrix<T>,
 ) -> Vec<T> {
+    use crate::kernel::PANEL_NR;
+    let mut out = vec![bias; x.rows()];
+    let work = x.rows() as u128 * sv.rows() as u128 * x.cols() as u128;
+    crate::par::with_grain(work, || {
+        let blocks = x.rows().div_ceil(PANEL_NR);
+        let share = blocks.div_ceil(rayon::current_num_threads()).max(1) * PANEL_NR;
+        out.par_chunks_mut(share)
+            .enumerate()
+            .for_each(|(s, rows)| expand_share(kernel, isa, sv, coef, x, s * share, rows));
+    });
+    out
+}
+
+/// [`kernel_expansion`] for the query rows `first..first + out.len()`
+/// (`first` a multiple of 4), accumulating into `out`: the SV tiles are
+/// the outer loop, so a tile stays in cache while every query block of the
+/// share sweeps it.
+fn expand_share<T: Real>(
+    kernel: &KernelSpec<T>,
+    isa: Isa,
+    sv: &DenseMatrix<T>,
+    coef: &[T],
+    x: &DenseMatrix<T>,
+    first: usize,
+    out: &mut [T],
+) {
     use crate::kernel::{kernel_panel, PANEL_MR, PANEL_NR};
     let m = sv.rows();
-    let mut out = vec![bias; x.rows()];
     for tile in (0..m).step_by(SV_TILE) {
         let tile_end = (tile + SV_TILE).min(m);
-        out.par_chunks_mut(PANEL_NR)
-            .enumerate()
-            .for_each(|(ci, acc)| {
-                let base = ci * PANEL_NR;
-                let mut rb: [&[T]; PANEL_NR] = [x.row(base); PANEL_NR];
-                for (b, slot) in rb.iter_mut().enumerate().take(acc.len()) {
-                    *slot = x.row(base + b);
+        for (ci, acc) in out.chunks_mut(PANEL_NR).enumerate() {
+            let base = first + ci * PANEL_NR;
+            let mut rb: [&[T]; PANEL_NR] = [x.row(base); PANEL_NR];
+            for (b, slot) in rb.iter_mut().enumerate().take(acc.len()) {
+                *slot = x.row(base + b);
+            }
+            let rb = if acc.len() == 1 { &rb[..1] } else { &rb[..] };
+            let mut i = tile;
+            while i < tile_end {
+                let h = (tile_end - i).min(PANEL_MR);
+                let mut ra: [&[T]; PANEL_MR] = [rb[0]; PANEL_MR];
+                for (a, slot) in ra.iter_mut().enumerate().take(h) {
+                    *slot = sv.row(i + a);
                 }
-                let rb = if acc.len() == 1 { &rb[..1] } else { &rb[..] };
-                let mut i = tile;
-                while i < tile_end {
-                    let h = (tile_end - i).min(PANEL_MR);
-                    let mut ra: [&[T]; PANEL_MR] = [rb[0]; PANEL_MR];
-                    for (a, slot) in ra.iter_mut().enumerate().take(h) {
-                        *slot = sv.row(i + a);
+                let panel = kernel_panel(kernel, isa, &ra[..h], rb);
+                for (a, prow) in panel.iter().enumerate().take(h) {
+                    for (o, &k) in acc.iter_mut().zip(prow) {
+                        *o = coef[i + a].mul_add(k, *o);
                     }
-                    let panel = kernel_panel(kernel, isa, &ra[..h], rb);
-                    for (a, prow) in panel.iter().enumerate().take(h) {
-                        for (o, &k) in acc.iter_mut().zip(prow) {
-                            *o = coef[i + a].mul_add(k, *o);
-                        }
-                    }
-                    i += h;
                 }
-            });
+                i += h;
+            }
+        }
     }
-    out
 }
 
 /// Predicted ±1 signs for every row of `x`.
@@ -705,8 +733,9 @@ pub fn predict_labels<T: Real>(model: &SvmModel<T>, x: &DenseMatrix<T>) -> Vec<i
 
 /// Fast linear-kernel prediction from the explicit normal vector:
 /// `f(x) = ⟨w, x⟩ + b` — O(d) per point instead of the O(m·d) kernel sum
-/// (Eq. 4 of the paper). `bias` is `−rho`. Computed in parallel over
-/// `PANEL_MR`-point panels sharing one feature pass over `w`.
+/// (Eq. 4 of the paper). `bias` is `−rho`. Computed over `PANEL_MR`-point
+/// panels sharing one feature pass over `w`, on the calling thread: a
+/// panel is too little work to hand to another thread.
 pub fn predict_linear<T: Real>(w: &[T], bias: T, x: &DenseMatrix<T>) -> Vec<T> {
     use crate::kernel::PANEL_MR;
     assert_eq!(
@@ -718,19 +747,17 @@ pub fn predict_linear<T: Real>(w: &[T], bias: T, x: &DenseMatrix<T>) -> Vec<T> {
     );
     let isa = crate::simd::Isa::select();
     let mut out = vec![T::ZERO; x.rows()];
-    out.par_chunks_mut(PANEL_MR)
-        .enumerate()
-        .for_each(|(ci, chunk)| {
-            let base = ci * PANEL_MR;
-            let mut ra: [&[T]; PANEL_MR] = [w; PANEL_MR];
-            for (a, slot) in ra.iter_mut().enumerate().take(chunk.len()) {
-                *slot = x.row(base + a);
-            }
-            let panel = crate::simd::panel_dot(isa, &ra[..chunk.len()], &[w]);
-            for (a, o) in chunk.iter_mut().enumerate() {
-                *o = panel[a][0] + bias;
-            }
-        });
+    for (ci, chunk) in out.chunks_mut(PANEL_MR).enumerate() {
+        let base = ci * PANEL_MR;
+        let mut ra: [&[T]; PANEL_MR] = [w; PANEL_MR];
+        for (a, slot) in ra.iter_mut().enumerate().take(chunk.len()) {
+            *slot = x.row(base + a);
+        }
+        let panel = crate::simd::panel_dot(isa, &ra[..chunk.len()], &[w]);
+        for (a, o) in chunk.iter_mut().enumerate() {
+            *o = panel[a][0] + bias;
+        }
+    }
     out
 }
 

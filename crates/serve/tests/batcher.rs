@@ -145,6 +145,48 @@ fn processor_panic_closes_its_batch_and_worker_survives() {
 }
 
 #[test]
+fn panic_inside_a_parallel_kernel_expansion_closes_its_batch() {
+    use plssvm_core::par::PAR_GRAIN;
+    use plssvm_core::simd::Isa;
+    use plssvm_core::svm::kernel_expansion;
+    use plssvm_data::dense::DenseMatrix;
+    use plssvm_data::model::KernelSpec;
+
+    const FEATURES: usize = 64;
+    let sv = DenseMatrix::from_vec(512, FEATURES, vec![0.5; 512 * FEATURES]);
+    let coef = vec![1.0; 512];
+    // a request of 128 rows forks the expansion, and a poisoned one runs it
+    // with too few coefficients: every share then panics on its own thread
+    assert!((128 * 512 * FEATURES) as u128 >= PAR_GRAIN);
+    let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+    let batcher = Batcher::new(1, 0, clock, None, move |reqs: Vec<u64>| {
+        let poisoned = reqs.contains(&13);
+        let x = DenseMatrix::from_vec(128, FEATURES, vec![0.25; 128 * FEATURES]);
+        let coef = if poisoned { &coef[..300] } else { &coef[..] };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let out = pool.install(|| {
+            kernel_expansion(
+                &KernelSpec::Rbf { gamma: 0.1 },
+                Isa::select(),
+                &sv,
+                coef,
+                0.0,
+                &x,
+            )
+        });
+        reqs.iter().map(|&r| r + out.len() as u64).collect()
+    });
+    assert_eq!(batcher.submit(1).wait(), Some(129));
+    assert_eq!(batcher.submit(13).wait(), None);
+    // the worker survived the re-raised panic
+    assert_eq!(batcher.submit(2).wait(), Some(130));
+    batcher.shutdown();
+}
+
+#[test]
 fn arity_mismatch_closes_unanswered_tickets() {
     let clock: Arc<dyn plssvm_serve::Clock> = Arc::new(ManualClock::new());
     // a buggy processor returning one response for a two-request batch

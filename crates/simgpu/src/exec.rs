@@ -5,17 +5,16 @@
 //! simulation one closure invocation corresponds to one *thread block*; the
 //! `blocksize × blocksize` threads of a block (and their register-level
 //! tiling) appear as loops inside the closure — which is also exactly how
-//! the tiled algorithm is formulated in the paper. Blocks execute in
-//! parallel on the host thread pool, mirroring how a GPU schedules blocks
-//! independently.
+//! the tiled algorithm is formulated in the paper. Blocks execute one after
+//! another in index order on the launching thread, so kernels that mirror
+//! `atomicAdd` accumulate in a fixed order and every launch is bitwise
+//! reproducible.
 //!
 //! Kernels report the work they perform through [`KernelCtx`]; after all
 //! blocks complete, the launch converts the tallies into simulated time via
 //! the roofline model and files them under the kernel's name.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use rayon::prelude::*;
 
 use crate::device::SimDevice;
 use crate::error::SimGpuError;
@@ -122,11 +121,11 @@ pub struct LaunchStats {
 }
 
 impl SimDevice {
-    /// Launches a kernel: runs `kernel` once per block (in parallel),
+    /// Launches a kernel: runs `kernel` once per block (in index order),
     /// tallies the reported work and records simulated time.
     pub fn launch<F>(&self, cfg: &LaunchConfig, kernel: F) -> Result<LaunchStats, SimGpuError>
     where
-        F: Fn(BlockId, &KernelCtx) + Sync,
+        F: Fn(BlockId, &KernelCtx),
     {
         if cfg.grid.blocks() == 0 {
             return Err(SimGpuError::InvalidLaunch(format!(
@@ -139,13 +138,16 @@ impl SimDevice {
         let slowdown = self.state.fault_check(self.id())?;
         let ctx = KernelCtx::default();
         let grid = cfg.grid;
-        (0..grid.blocks()).into_par_iter().for_each(|i| {
+        // blocks run one after another in index order: kernels mirror
+        // `atomicAdd` into shared accumulators, so their floating-point sums
+        // depend on block order, and a fixed order keeps them reproducible
+        for i in 0..grid.blocks() {
             let id = BlockId {
                 x: i % grid.x,
                 y: i / grid.x,
             };
             kernel(id, &ctx);
-        });
+        }
 
         let flops = ctx.flops.load(Ordering::Relaxed);
         let global_bytes = ctx.global_read_bytes.load(Ordering::Relaxed)

@@ -9,12 +9,10 @@
 //! in one pass. This is the "point groups" parallelization of SMO the
 //! paper describes in §II-G.
 //!
-//! The row batch and the global gradient update are parallelized with
-//! rayon (ThunderSVM's CPU mode uses OpenMP the same way). Kernel launch
-//! counts are tracked so the profiling comparison of §IV-C can be
-//! regenerated.
-
-use rayon::prelude::*;
+//! The row batch and the global gradient update are plain loops on the
+//! calling thread (ThunderSVM's CPU mode spreads them over OpenMP threads;
+//! this baseline keeps them sequential). Kernel launch counts are tracked
+//! so the profiling comparison of §IV-C can be regenerated.
 
 use plssvm_data::libsvm::LabeledData;
 use plssvm_data::model::{KernelSpec, SvmModel};
@@ -215,7 +213,7 @@ impl<T: Real> ThunderSolver<T> {
 
             // --- bulk kernel rows of the working set (the GPU row batch) ---
             let ws_rows: Vec<Vec<T>> = ws
-                .par_iter()
+                .iter()
                 .map(|&t| {
                     let mut buf = vec![T::ZERO; m];
                     rows.compute_row(t, &mut buf);
@@ -334,13 +332,13 @@ impl<T: Real> ThunderSolver<T> {
             for &(t, _, u) in &deltas {
                 alpha[t] = a_loc[u];
             }
-            grad.par_iter_mut().enumerate().for_each(|(s, g)| {
+            for (s, g) in grad.iter_mut().enumerate() {
                 let mut acc = 0.0;
                 for &(t, da, u) in &deltas {
                     acc += y[t] * ws_rows[u][s].to_f64() * da;
                 }
                 *g += y[s] * acc;
-            });
+            }
         }
 
         // rho, objective, model — identical to plain SMO

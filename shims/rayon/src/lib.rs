@@ -1,108 +1,224 @@
 //! Vendored, dependency-free stand-in for the `rayon` crate.
 //!
 //! The build environment has no network access to a crates registry, so the
-//! workspace vendors the API subset it uses. The "parallel" iterators here
-//! are the corresponding **sequential** standard-library iterators, by
-//! choice: the reference host has 2 vCPUs, but sequential execution makes
-//! every reduction order (including simulated-GPU `atomicAdd`
-//! accumulation) bitwise deterministic, which the telemetry determinism
-//! tests rely on. Training and batch prediction therefore run on one
-//! core.
+//! workspace vendors the API subset it uses, implemented on
+//! [`std::thread::scope`]. A parallel loop runs its items on
+//! [`current_num_threads`] threads, the calling thread being one of them:
 //!
-//! Because the adaptors *are* `std` iterators, every chained combinator
-//! (`map`, `zip`, `enumerate`, `for_each`, `collect::<Result<_, _>>`, …)
-//! keeps its standard semantics, including item order.
+//! * **One shared cursor.** Every thread claims the next item, in
+//!   ascending index order, from one `Mutex`-guarded iterator. There is no
+//!   work stealing, so the first (often the largest) items start first.
+//! * **Results in index order.** `map(..).collect()` hands every item its
+//!   own result slot, so the collection is the sequential one.
+//! * **Determinism is the caller's contract.** Items run concurrently and
+//!   finish in any order. A loop whose items each write only their own
+//!   output and share no mutable state computes the same bits at any
+//!   thread count; order-dependent work belongs in a plain `for` loop.
+//! * **Inline runs.** A loop with one item, or with a count of 1, runs on
+//!   the calling thread and spawns nothing. So does every loop nested
+//!   inside a loop's item, on the thread running that item.
+//! * **Panics.** An item's panic re-raises on the calling thread, with its
+//!   original payload, once every thread of the loop has joined.
+//!
+//! The global thread count is `std::thread::available_parallelism()`, read
+//! once per process (on Linux the read parses cgroup files, tens of µs).
+//! [`ThreadPool::install`] overrides it for the closure it runs, on the
+//! calling thread only.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::panic;
+use std::sync::{Mutex, OnceLock};
+use std::thread;
 
-/// Mirrors `rayon::iter::IntoParallelIterator` (sequential here).
+thread_local! {
+    /// Thread count set by the innermost [`ThreadPool::install`] running on
+    /// this thread.
+    static INSTALLED: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set while this thread runs items of a parallel loop: nested loops
+    /// then run inline.
+    static IN_LOOP: Cell<bool> = const { Cell::new(false) };
+}
+
+/// `available_parallelism()`, resolved once per process.
+fn default_num_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Number of threads a parallel loop started here would use: 1 inside a
+/// loop's item, the installed pool's count inside [`ThreadPool::install`],
+/// otherwise the host's available parallelism.
+pub fn current_num_threads() -> usize {
+    if IN_LOOP.get() {
+        1
+    } else {
+        INSTALLED.get().unwrap_or_else(default_num_threads)
+    }
+}
+
+/// Restores a thread-local cell to its previous value when dropped, also
+/// while unwinding.
+struct Restore<T: Copy + 'static> {
+    key: &'static thread::LocalKey<Cell<T>>,
+    previous: T,
+}
+
+impl<T: Copy + 'static> Restore<T> {
+    fn set(key: &'static thread::LocalKey<Cell<T>>, value: T) -> Self {
+        Self {
+            key,
+            previous: key.replace(value),
+        }
+    }
+}
+
+impl<T: Copy + 'static> Drop for Restore<T> {
+    fn drop(&mut self) {
+        self.key.set(self.previous);
+    }
+}
+
+/// Runs `f` on every item on up to [`current_num_threads`] threads, which
+/// claim items in ascending order from one shared cursor.
+fn drive<I, F>(items: I, f: F)
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+    F: Fn(I::Item) + Sync,
+{
+    let threads = current_num_threads().min(items.len());
+    if threads <= 1 {
+        let _in_loop = Restore::set(&IN_LOOP, true);
+        items.for_each(f);
+        return;
+    }
+    let cursor = Mutex::new(items);
+    let work = || {
+        let _in_loop = Restore::set(&IN_LOOP, true);
+        loop {
+            // the guard drops at the end of this statement, so the item
+            // runs unlocked; std iterators never panic inside `next`
+            let next = cursor
+                .lock()
+                .expect("cursor lock is never held across an item")
+                .next();
+            match next {
+                Some(item) => f(item),
+                None => break,
+            }
+        }
+    };
+    thread::scope(|s| {
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        work();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
+/// A parallel iterator over the items of a sequential one.
+#[derive(Debug)]
+pub struct Par<I> {
+    items: I,
+}
+
+impl<I> Par<I>
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+{
+    /// Pairs every item with its index.
+    pub fn enumerate(self) -> Par<std::iter::Enumerate<I>> {
+        Par {
+            items: self.items.enumerate(),
+        }
+    }
+
+    /// Maps every item through `f`; finish with [`Map::collect`].
+    pub fn map<F, R>(self, f: F) -> Map<I, F>
+    where
+        F: Fn(I::Item) -> R + Sync,
+        R: Send,
+    {
+        Map {
+            items: self.items,
+            f,
+        }
+    }
+
+    /// Runs `f` on every item.
+    pub fn for_each<F>(self, f: F)
+    where
+        F: Fn(I::Item) + Sync,
+    {
+        drive(self.items, f);
+    }
+}
+
+/// A parallel map, produced by [`Par::map`].
+#[derive(Debug)]
+pub struct Map<I, F> {
+    items: I,
+    f: F,
+}
+
+impl<I, F, R> Map<I, F>
+where
+    I: ExactSizeIterator + Send,
+    I::Item: Send,
+    F: Fn(I::Item) -> R + Sync,
+    R: Send,
+{
+    /// Collects the results in item order, as the sequential iterator
+    /// would (including `Result<Vec<_>, _>`, which keeps the first error in
+    /// item order).
+    pub fn collect<C: FromIterator<R>>(self) -> C {
+        // every item carries its own result slot
+        let mut slots: Vec<Option<R>> = (0..self.items.len()).map(|_| None).collect();
+        let f = &self.f;
+        drive(self.items.zip(slots.iter_mut()), |(item, slot)| {
+            *slot = Some(f(item));
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("every item ran"))
+            .collect()
+    }
+}
+
+/// Mirrors `rayon::iter::IntoParallelIterator` (ranges only).
 pub trait IntoParallelIterator {
-    /// The element type.
-    type Item;
-    /// The (sequential) iterator produced.
-    type Iter: Iterator<Item = Self::Item>;
-    /// Converts `self` into a "parallel" iterator.
-    fn into_par_iter(self) -> Self::Iter;
+    /// The sequential iterator the parallel one hands out.
+    type Iter;
+    /// Converts `self` into a parallel iterator.
+    fn into_par_iter(self) -> Par<Self::Iter>;
 }
 
-impl<I: IntoIterator> IntoParallelIterator for I {
-    type Item = I::Item;
-    type Iter = I::IntoIter;
-    fn into_par_iter(self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Mirrors `rayon::iter::IntoParallelRefIterator` (`.par_iter()`).
-pub trait IntoParallelRefIterator<'data> {
-    /// The element type (a shared reference).
-    type Item: 'data;
-    /// The (sequential) iterator produced.
-    type Iter: Iterator<Item = Self::Item>;
-    /// Iterates `self` by reference.
-    fn par_iter(&'data self) -> Self::Iter;
-}
-
-impl<'data, C: 'data + ?Sized> IntoParallelRefIterator<'data> for C
-where
-    &'data C: IntoIterator,
-{
-    type Item = <&'data C as IntoIterator>::Item;
-    type Iter = <&'data C as IntoIterator>::IntoIter;
-    fn par_iter(&'data self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Mirrors `rayon::iter::IntoParallelRefMutIterator` (`.par_iter_mut()`).
-pub trait IntoParallelRefMutIterator<'data> {
-    /// The element type (an exclusive reference).
-    type Item: 'data;
-    /// The (sequential) iterator produced.
-    type Iter: Iterator<Item = Self::Item>;
-    /// Iterates `self` by mutable reference.
-    fn par_iter_mut(&'data mut self) -> Self::Iter;
-}
-
-impl<'data, C: 'data + ?Sized> IntoParallelRefMutIterator<'data> for C
-where
-    &'data mut C: IntoIterator,
-{
-    type Item = <&'data mut C as IntoIterator>::Item;
-    type Iter = <&'data mut C as IntoIterator>::IntoIter;
-    fn par_iter_mut(&'data mut self) -> Self::Iter {
-        self.into_iter()
-    }
-}
-
-/// Mirrors `rayon::slice::ParallelSlice` (`.par_chunks()`).
-pub trait ParallelSlice<T> {
-    /// Chunked shared iteration.
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-}
-
-impl<T> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-        self.chunks(chunk_size)
+impl IntoParallelIterator for Range<usize> {
+    type Iter = Range<usize>;
+    fn into_par_iter(self) -> Par<Range<usize>> {
+        Par { items: self }
     }
 }
 
 /// Mirrors `rayon::slice::ParallelSliceMut` (`.par_chunks_mut()`).
 pub trait ParallelSliceMut<T> {
-    /// Chunked exclusive iteration.
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
+    /// Exclusive chunks of `chunk_size` elements (the last may be shorter).
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<std::slice::ChunksMut<'_, T>>;
 }
 
-impl<T> ParallelSliceMut<T> for [T] {
-    fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-        self.chunks_mut(chunk_size)
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<std::slice::ChunksMut<'_, T>> {
+        Par {
+            items: self.chunks_mut(chunk_size),
+        }
     }
-}
-
-/// Number of threads of the global pool (always 1 in this stand-in).
-pub fn current_num_threads() -> usize {
-    1
 }
 
 /// Error from [`ThreadPoolBuilder::build`] (never produced here; the type
@@ -118,20 +234,23 @@ impl fmt::Display for ThreadPoolBuildError {
 
 impl Error for ThreadPoolBuildError {}
 
-/// A scoped "pool". [`ThreadPool::install`] runs the closure on the calling
-/// thread; the configured thread count is reported back unchanged so
-/// backend telemetry can still label runs with the requested parallelism.
+/// A thread count for the parallel loops run under
+/// [`ThreadPool::install`]. No threads live between loops: each loop
+/// spawns scoped threads and joins them before it returns.
 #[derive(Debug)]
 pub struct ThreadPool {
     num_threads: usize,
 }
 
 impl ThreadPool {
-    /// Runs `op` within the pool (directly, on this thread).
+    /// Runs `op` on the calling thread with this pool's thread count. Inside
+    /// a parallel loop's item the count stays 1, so a nested install runs
+    /// its loops inline.
     pub fn install<OP, R>(&self, op: OP) -> R
     where
         OP: FnOnce() -> R,
     {
+        let _installed = Restore::set(&INSTALLED, Some(self.num_threads));
         op()
     }
 
@@ -153,7 +272,8 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Requests `num_threads` threads (0 = automatic).
+    /// Requests `num_threads` threads (0 = the host's available
+    /// parallelism).
     pub fn num_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
@@ -163,7 +283,7 @@ impl ThreadPoolBuilder {
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         Ok(ThreadPool {
             num_threads: if self.num_threads == 0 {
-                current_num_threads()
+                default_num_threads()
             } else {
                 self.num_threads
             },
@@ -173,59 +293,201 @@ impl ThreadPoolBuilder {
 
 /// Glob-import surface, mirroring `rayon::prelude`.
 pub mod prelude {
-    pub use crate::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator, ParallelSlice,
-        ParallelSliceMut,
-    };
+    pub use crate::{IntoParallelIterator, ParallelSliceMut};
 }
 
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
 
-    #[test]
-    fn chains_match_std_semantics() {
-        let v = vec![1, 2, 3, 4];
-        let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-
-        let zipped: Vec<i32> = v.par_iter().zip(&doubled).map(|(a, b)| a + b).collect();
-        assert_eq!(zipped, vec![3, 6, 9, 12]);
-
-        let range: Vec<usize> = (0..4usize).into_par_iter().map(|i| i * i).collect();
-        assert_eq!(range, vec![0, 1, 4, 9]);
-    }
-
-    #[test]
-    fn fallible_collect() {
-        let ok: Result<Vec<i32>, &str> = [1, 2].par_iter().map(|&x| Ok(x)).collect();
-        assert_eq!(ok.unwrap(), vec![1, 2]);
-        let err: Result<Vec<i32>, &str> = [1, 2].par_iter().map(|_| Err("boom")).collect();
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn chunks_mut_order_preserved() {
-        let mut out = [0usize; 7];
-        out.par_chunks_mut(3)
-            .enumerate()
-            .for_each(|(block, chunk)| {
-                for slot in chunk.iter_mut() {
-                    *slot = block;
-                }
-            });
-        assert_eq!(out, [0, 0, 0, 1, 1, 1, 2]);
-    }
-
-    #[test]
-    fn pool_reports_configured_threads() {
-        let pool = crate::ThreadPoolBuilder::new()
-            .num_threads(4)
+    fn pool(threads: usize) -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(threads)
             .build()
-            .unwrap();
-        assert_eq!(pool.current_num_threads(), 4);
-        assert_eq!(pool.install(|| 21 * 2), 42);
+            .unwrap()
+    }
+
+    const POOLS: [usize; 4] = [1, 2, 3, 4];
+
+    #[test]
+    fn map_collect_is_in_index_order_at_every_thread_count() {
+        let v: Vec<u64> = (0..1000).collect();
+        for t in POOLS {
+            pool(t).install(|| {
+                let squares: Vec<u64> = (0..v.len()).into_par_iter().map(|i| v[i] * v[i]).collect();
+                assert_eq!(squares, v.iter().map(|x| x * x).collect::<Vec<_>>(), "{t}");
+                let pairs: Vec<(usize, u64)> = (0..v.len())
+                    .into_par_iter()
+                    .enumerate()
+                    .map(|(i, k)| (i, v[k]))
+                    .collect();
+                assert!(pairs.iter().all(|&(i, x)| i as u64 == x), "{t}");
+            });
+        }
+    }
+
+    #[test]
+    fn fallible_collect_keeps_the_first_error_in_index_order() {
+        for t in POOLS {
+            pool(t).install(|| {
+                let ok: Result<Vec<usize>, usize> = (1..3usize).into_par_iter().map(Ok).collect();
+                assert_eq!(ok.unwrap(), vec![1, 2]);
+                let err: Result<Vec<usize>, usize> = (0..64usize)
+                    .into_par_iter()
+                    .map(|i| if i % 10 == 7 { Err(i) } else { Ok(i) })
+                    .collect();
+                assert_eq!(err, Err(7), "{t}");
+            });
+        }
+    }
+
+    #[test]
+    fn for_each_visits_every_item_once() {
+        for t in POOLS {
+            let seen = Mutex::new(Vec::new());
+            pool(t).install(|| {
+                (0..500usize)
+                    .into_par_iter()
+                    .for_each(|i| seen.lock().unwrap().push(i))
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..500).collect::<Vec<_>>(), "{t}");
+        }
+    }
+
+    #[test]
+    fn chunks_mut_give_identical_results_at_every_thread_count() {
+        let fill = |t: usize| {
+            let mut out = vec![0usize; 1001];
+            pool(t).install(|| {
+                out.par_chunks_mut(7)
+                    .enumerate()
+                    .for_each(|(block, chunk)| {
+                        for (k, slot) in chunk.iter_mut().enumerate() {
+                            *slot = block * 1000 + k;
+                        }
+                    })
+            });
+            out
+        };
+        let reference = fill(1);
+        assert_eq!(reference[..8], [0, 1, 2, 3, 4, 5, 6, 1000]);
+        assert_eq!(reference[1000], 142_006);
+        for t in POOLS {
+            assert_eq!(fill(t), reference, "{t}");
+        }
+    }
+
+    #[test]
+    fn each_thread_claims_in_ascending_order() {
+        for t in POOLS {
+            let claimed = Mutex::new(Vec::new());
+            pool(t).install(|| {
+                (0..200usize)
+                    .into_par_iter()
+                    .for_each(|i| claimed.lock().unwrap().push((thread::current().id(), i)))
+            });
+            let claimed = claimed.into_inner().unwrap();
+            assert_eq!(claimed.len(), 200);
+            for &(id, _) in &claimed {
+                let mine: Vec<usize> = claimed.iter().filter(|c| c.0 == id).map(|c| c.1).collect();
+                assert!(
+                    mine.windows(2).all(|w| w[0] < w[1]),
+                    "{t} threads: {mine:?}"
+                );
+            }
+        }
+    }
+
+    fn thread_ids(items: usize) -> Vec<ThreadId> {
+        let ids = Mutex::new(Vec::new());
+        (0..items)
+            .into_par_iter()
+            .for_each(|_| ids.lock().unwrap().push(thread::current().id()));
+        ids.into_inner().unwrap()
+    }
+
+    #[test]
+    fn single_items_and_one_thread_pools_run_on_the_caller() {
+        let me = thread::current().id();
+        for t in POOLS {
+            pool(t).install(|| assert_eq!(thread_ids(1), vec![me], "{t}"));
+        }
+        // a one-thread install is how callers run work under their grain
+        pool(1).install(|| assert!(thread_ids(64).iter().all(|&id| id == me)));
+        pool(2).install(|| pool(1).install(|| assert!(thread_ids(64).iter().all(|&id| id == me))));
+    }
+
+    #[test]
+    fn several_threads_take_part() {
+        // a barrier forces both threads to hold an item at once
+        let barrier = std::sync::Barrier::new(2);
+        let ids = Mutex::new(Vec::new());
+        pool(2).install(|| {
+            (0..2usize).into_par_iter().for_each(|_| {
+                barrier.wait();
+                ids.lock().unwrap().push(thread::current().id());
+            })
+        });
+        let ids = ids.into_inner().unwrap();
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&thread::current().id()));
+    }
+
+    #[test]
+    fn panics_reraise_on_the_caller_with_their_payload() {
+        for t in POOLS {
+            for poisoned in [0usize, 5, 99] {
+                let result = std::panic::catch_unwind(|| {
+                    pool(t).install(|| {
+                        (0..100usize).into_par_iter().for_each(|i| {
+                            if i == poisoned {
+                                std::panic::panic_any(format!("item {i}"));
+                            }
+                        })
+                    })
+                });
+                let payload = result.expect_err("the panic must reach the caller");
+                assert_eq!(
+                    payload.downcast_ref::<String>().unwrap(),
+                    &format!("item {poisoned}")
+                );
+                // the caller's state is restored after unwinding
+                assert_eq!(crate::current_num_threads(), super::default_num_threads());
+            }
+        }
+    }
+
+    #[test]
+    fn nested_loops_and_installs_run_inline_on_the_worker() {
+        for t in POOLS {
+            let inner = Mutex::new(Vec::new());
+            pool(t).install(|| {
+                (0..8usize).into_par_iter().for_each(|_| {
+                    let me = thread::current().id();
+                    assert_eq!(crate::current_num_threads(), 1);
+                    let nested = pool(4).install(|| thread_ids(16));
+                    assert!(nested.iter().all(|&id| id == me));
+                    inner.lock().unwrap().push(nested.len());
+                });
+            });
+            assert_eq!(inner.into_inner().unwrap(), vec![16; 8], "{t}");
+        }
+    }
+
+    #[test]
+    fn install_sets_the_count_for_its_closure_only() {
+        let outside = crate::current_num_threads();
+        assert_eq!(outside, super::default_num_threads());
+        let p = pool(3);
+        assert_eq!(p.current_num_threads(), 3);
+        assert_eq!(p.install(crate::current_num_threads), 3);
+        assert_eq!(p.install(|| pool(2).install(crate::current_num_threads)), 2);
+        assert_eq!(crate::current_num_threads(), outside);
         let auto = crate::ThreadPoolBuilder::new().build().unwrap();
-        assert_eq!(auto.current_num_threads(), crate::current_num_threads());
+        assert_eq!(auto.current_num_threads(), super::default_num_threads());
     }
 }
