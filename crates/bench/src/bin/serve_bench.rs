@@ -1,35 +1,19 @@
-//! `serve_bench` — load benchmark of the `svm-serve` micro-batching
-//! engine: batched throughput vs sequential single-request serving on a
-//! synthetic 16k-row workload.
+//! `serve_bench` — overload sweep of the `svm-serve` micro-batching
+//! engine over a real TCP loopback connection (the production wire path,
+//! syscalls and all).
 //!
-//! Two modes run identical request streams against the same model over a
-//! real TCP loopback connection (the production wire path, syscalls and
-//! all):
-//!
-//! * `single`   — one client, `max_batch = 1`, strict request-response:
-//!   every request pays a full write/read round trip over the socket.
-//! * `batched`  — concurrent clients each *streaming* their shard down
-//!   the wire; the server's reader pipeline keeps many requests in
-//!   flight, and the bounded queue coalesces them (`max_batch = 512`)
-//!   so the round-trip and wake-up costs are amortized across batches.
-//!
-//! Each mode runs three repetitions and reports its best (the standard
-//! defense against scheduler noise on a shared box; `--smoke` runs one).
-//! Asserts batched throughput is at least 5x single-request throughput
-//! unless `--smoke` (CI's quick leg) is given, then writes
-//! `bench_results/serve_latency.csv` (`mode,metric,value` rows:
-//! throughput, p50/p99/mean latency, batch-size distribution); a run
-//! that fails the check writes nothing.
-//!
-//! `serve_bench overload` instead runs the **overload sweep**: it
-//! estimates the serving capacity of one pipelined connection, then
+//! It estimates the serving capacity of one pipelined connection, then
 //! offers paced open-loop load at 1×/2×/4× that capacity against a
 //! bounded queue (`--queue-watermark`-style admission plus a dequeue
 //! deadline) and reports, per multiplier, offered load vs goodput, the
 //! shed rate, and the p99 latency of the requests that were admitted
 //! and served — `bench_results/serve_overload.csv`. Every request must
 //! come back with exactly one structured reply; above capacity the
-//! server is expected to shed rather than stall.
+//! server is expected to shed rather than stall. `--smoke` runs a short
+//! stream and skips the shedding check.
+//!
+//! Serving latency and peak throughput are measured by the serve-rbf and
+//! serve-tiny workloads of `benchsuite/`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -38,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use plssvm_bench::results_path;
-use plssvm_bench::stats::{mean, percentile};
+use plssvm_bench::stats::percentile;
 use plssvm_core::svm::LsSvm;
 use plssvm_core::trace::{MetricsSink, Telemetry};
 use plssvm_data::synthetic::{generate_planes, PlanesConfig};
@@ -46,12 +30,10 @@ use plssvm_serve::{
     serve_tcp, ConnectionOptions, Engine, EngineConfig, ServeModel, ServerControl, SystemClock,
 };
 
-/// Total requests per mode (the "16k-row synthetic workload").
+/// Requests per load point (the "16k-row synthetic workload").
 const REQUESTS: usize = 16_384;
 /// Quick CI smoke variant.
 const SMOKE_REQUESTS: usize = 2_048;
-/// Pipelining clients in batched mode.
-const CLIENTS: usize = 2;
 
 /// Trains the small serving model (32 points x 4 features, linear): the
 /// per-row predict cost is tiny, so the benchmark isolates the serving
@@ -94,31 +76,20 @@ fn build_requests(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn engine(model: ServeModel, config: EngineConfig) -> (Engine, Arc<Telemetry>) {
-    let telemetry = Telemetry::shared();
-    let e = Engine::new(
-        model,
-        config,
-        Arc::new(SystemClock::new()),
-        Some(Arc::clone(&telemetry) as Arc<dyn MetricsSink>),
-    );
-    (e, telemetry)
-}
-
-struct ModeResult {
-    wall_s: f64,
-    latencies_us: Vec<f64>,
-}
-
 /// Starts a server on an ephemeral loopback port, runs `clients` against
 /// it (the closure does its own timing, after connection setup), then
 /// shuts the server down cleanly.
-fn with_server<T, F>(config: EngineConfig, clients: F) -> (T, Arc<Telemetry>)
+fn with_server<T, F>(config: EngineConfig, clients: F) -> T
 where
     F: FnOnce(std::net::SocketAddr) -> T,
 {
-    let (engine, telemetry) = engine(build_model(), config);
-    let engine = Arc::new(engine);
+    // telemetry on, as in svm-serve
+    let engine = Arc::new(Engine::new(
+        build_model(),
+        config,
+        Arc::new(SystemClock::new()),
+        Some(Telemetry::shared() as Arc<dyn MetricsSink>),
+    ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let stop = Arc::new(AtomicBool::new(false));
@@ -142,23 +113,12 @@ where
     stop.store(true, Ordering::SeqCst);
     server.join().expect("server thread").expect("serve_tcp");
     engine.shutdown();
-    (result, telemetry)
-}
-
-/// The latency modes measure the unbounded-queue serving path exactly as
-/// PR 7 shipped it: no watermark, no deadline.
-fn latency_config(max_batch: usize, max_wait_us: u64) -> EngineConfig {
-    EngineConfig {
-        max_batch,
-        max_wait_us,
-        queue_watermark: 0,
-        deadline_us: 0,
-    }
+    result
 }
 
 /// Connects and completes one warm-up round trip so connection setup,
 /// accept-poll latency, and server thread spawn never count against the
-/// measured mode.
+/// measured load point.
 fn connect_warm(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
@@ -168,145 +128,6 @@ fn connect_warm(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>)
     reader.read_line(&mut line).expect("warmup read");
     assert!(!line.trim().is_empty(), "warmup got no response");
     (stream, reader)
-}
-
-/// Strict request-response over one connection: write a line, block for
-/// its answer, repeat. Every request pays the full wire round trip.
-fn run_single(requests: &[String]) -> (ModeResult, Arc<Telemetry>) {
-    with_server(latency_config(1, 0), |addr| {
-        let (mut stream, mut reader) = connect_warm(addr);
-        let mut lat = Vec::with_capacity(requests.len());
-        let mut line = String::new();
-        let start = Instant::now();
-        for req in requests {
-            let t0 = Instant::now();
-            stream.write_all(req.as_bytes()).expect("write");
-            line.clear();
-            reader.read_line(&mut line).expect("read");
-            assert!(!line.trim().is_empty());
-            lat.push(t0.elapsed().as_secs_f64() * 1e6);
-        }
-        ModeResult {
-            wall_s: start.elapsed().as_secs_f64(),
-            latencies_us: lat,
-        }
-    })
-}
-
-/// Streaming clients: each shard goes down the wire as fast as the
-/// socket accepts it while responses are drained concurrently — the
-/// server-side pipeline keeps the batcher's queue full, so requests
-/// coalesce within and across connections.
-fn run_batched(requests: &[String]) -> (ModeResult, Arc<Telemetry>) {
-    let shard = requests.len() / CLIENTS;
-    with_server(latency_config(512, 500), |addr| {
-        // every connection is up and warmed before the timer starts
-        let conns: Vec<(TcpStream, BufReader<TcpStream>)> =
-            (0..CLIENTS).map(|_| connect_warm(addr)).collect();
-        let start = Instant::now();
-        let latencies_us: Vec<f64> = std::thread::scope(|s| {
-            let handles: Vec<_> = conns
-                .into_iter()
-                .enumerate()
-                .map(|(c, (stream, mut reader))| {
-                    let lines = &requests[c * shard..(c + 1) * shard];
-                    s.spawn(move || {
-                        // responses come back in FIFO send order, so
-                        // per-request latency is computed after the run by
-                        // zipping send and completion timestamp vectors —
-                        // no cross-thread channel inside the hot loop
-                        let mut done = Vec::with_capacity(lines.len());
-                        std::thread::scope(|inner| {
-                            // buffered streaming writer: a real pipelined
-                            // client does not pay one syscall per request
-                            let raw = stream.try_clone().expect("clone stream");
-                            let mut writer = std::io::BufWriter::new(stream);
-                            let sender = inner.spawn(move || {
-                                let mut sent = Vec::with_capacity(lines.len());
-                                for line in lines {
-                                    sent.push(Instant::now());
-                                    writer.write_all(line.as_bytes()).expect("write");
-                                }
-                                writer.flush().expect("flush");
-                                raw.shutdown(Shutdown::Write).ok();
-                                sent
-                            });
-                            let mut line = String::new();
-                            for _ in 0..lines.len() {
-                                line.clear();
-                                reader.read_line(&mut line).expect("read");
-                                assert!(!line.trim().is_empty());
-                                done.push(Instant::now());
-                            }
-                            let sent = sender.join().expect("sender thread");
-                            sent.iter()
-                                .zip(&done)
-                                .map(|(s, d)| d.duration_since(*s).as_secs_f64() * 1e6)
-                                .collect::<Vec<f64>>()
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        ModeResult {
-            wall_s: start.elapsed().as_secs_f64(),
-            latencies_us,
-        }
-    })
-}
-
-fn push_mode_rows(csv: &mut String, mode: &str, r: &ModeResult, telemetry: &Telemetry) {
-    let n = r.latencies_us.len();
-    let rps = n as f64 / r.wall_s;
-    csv.push_str(&format!("{mode},requests,{n}\n"));
-    csv.push_str(&format!("{mode},wall_s,{:.6}\n", r.wall_s));
-    csv.push_str(&format!("{mode},throughput_rps,{rps:.1}\n"));
-    csv.push_str(&format!(
-        "{mode},p50_us,{:.1}\n",
-        percentile(&r.latencies_us, 50.0)
-    ));
-    csv.push_str(&format!(
-        "{mode},p99_us,{:.1}\n",
-        percentile(&r.latencies_us, 99.0)
-    ));
-    csv.push_str(&format!("{mode},mean_us,{:.1}\n", mean(&r.latencies_us)));
-    let serve = &telemetry.report().serve;
-    csv.push_str(&format!("{mode},batches,{}\n", serve.batches));
-    csv.push_str(&format!(
-        "{mode},mean_batch_size,{:.2}\n",
-        serve.mean_batch_size()
-    ));
-    csv.push_str(&format!(
-        "{mode},max_queue_depth,{}\n",
-        serve.max_queue_depth
-    ));
-    for (size, count) in &serve.batch_size_hist {
-        csv.push_str(&format!("{mode},batch_size_{size},{count}\n"));
-    }
-}
-
-/// Runs a mode `reps` times and keeps the fastest repetition.
-fn best_of<F>(reps: usize, label: &str, mut run: F) -> (ModeResult, Arc<Telemetry>)
-where
-    F: FnMut() -> (ModeResult, Arc<Telemetry>),
-{
-    let mut best: Option<(ModeResult, Arc<Telemetry>)> = None;
-    for rep in 1..=reps {
-        let (r, t) = run();
-        println!(
-            "  {label} rep {rep}/{reps}: {:.3} s, {:.0} req/s",
-            r.wall_s,
-            r.latencies_us.len() as f64 / r.wall_s
-        );
-        if best.as_ref().is_none_or(|(b, _)| r.wall_s < b.wall_s) {
-            best = Some((r, t));
-        }
-    }
-    best.expect("at least one repetition")
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +152,6 @@ struct OverloadPoint {
 fn overload_config() -> EngineConfig {
     EngineConfig {
         max_batch: 64,
-        max_wait_us: 200,
         queue_watermark: 256,
         deadline_us: 5_000,
     }
@@ -342,7 +162,7 @@ fn overload_config() -> EngineConfig {
 /// count only the requests actually served — the rate the watermarked
 /// queue can sustain is the capacity the sweep's multipliers scale.
 fn estimate_capacity(requests: &[String]) -> f64 {
-    let (rps, _) = with_server(overload_config(), |addr| {
+    with_server(overload_config(), |addr| {
         let (stream, mut reader) = connect_warm(addr);
         let start = Instant::now();
         let raw = stream.try_clone().expect("clone stream");
@@ -367,14 +187,13 @@ fn estimate_capacity(requests: &[String]) -> f64 {
             served
         });
         served.max(1) as f64 / start.elapsed().as_secs_f64()
-    });
-    rps
+    })
 }
 
 /// Offers `requests` at `offered_rps` (paced open loop: the sender holds
 /// the schedule even when replies lag) and classifies every reply.
 fn run_overload_point(requests: &[String], multiplier: f64, offered_rps: f64) -> OverloadPoint {
-    let (point, _) = with_server(overload_config(), |addr| {
+    with_server(overload_config(), |addr| {
         let (stream, mut reader) = connect_warm(addr);
         let raw = stream.try_clone().expect("clone stream");
         let interval = Duration::from_secs_f64(1.0 / offered_rps);
@@ -445,8 +264,7 @@ fn run_overload_point(requests: &[String], multiplier: f64, offered_rps: f64) ->
             overloaded,
             expired,
         }
-    });
-    point
+    })
 }
 
 fn run_overload_sweep(smoke: bool) {
@@ -498,34 +316,6 @@ fn run_overload_sweep(smoke: bool) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::args().any(|a| a == "overload") {
-        run_overload_sweep(smoke);
-        return;
-    }
-    let n = if smoke { SMOKE_REQUESTS } else { REQUESTS };
-    let reps = if smoke { 1 } else { 3 };
-    let requests = build_requests(n);
-
-    println!("serve_bench: {n} requests per mode ({CLIENTS} clients batched, best of {reps})");
-    let (single, single_t) = best_of(reps, "single ", || run_single(&requests));
-    let (batched, batched_t) = best_of(reps, "batched", || run_batched(&requests));
-    let speedup = single.wall_s / batched.wall_s;
-    println!("  speedup: {speedup:.2}x");
-
-    let mut csv = String::from("mode,metric,value\n");
-    push_mode_rows(&mut csv, "single", &single, &single_t);
-    push_mode_rows(&mut csv, "batched", &batched, &batched_t);
-    csv.push_str(&format!("summary,speedup,{speedup:.2}\n"));
-    // check before writing: a run that misses the claim leaves no CSV
-    if !smoke {
-        assert!(
-            speedup >= 5.0,
-            "batched serving must be at least 5x single-request throughput, got {speedup:.2}x"
-        );
-        println!("SUCCESS: batched >= 5x single-request throughput");
-    }
-    let path = results_path("serve_latency.csv");
-    plssvm_data::write_atomic(&path, csv.as_bytes()).expect("write csv");
-    println!("wrote {}", path.display());
+    // `overload` is accepted for compatibility: the sweep is the only mode
+    run_overload_sweep(std::env::args().any(|a| a == "--smoke"));
 }

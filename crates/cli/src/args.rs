@@ -624,11 +624,9 @@ pub struct ServeArgs {
     pub model: String,
     /// TCP listen address (`--listen host:port`); `None` = stdin mode.
     pub listen: Option<String>,
-    /// Flush a micro-batch at this many queued requests (`--max-batch`).
+    /// Largest micro-batch the engine predicts in one call
+    /// (`--max-batch`).
     pub max_batch: usize,
-    /// Flush a micro-batch once its oldest request waited this long in
-    /// microseconds (`--max-wait-us`).
-    pub max_wait_us: u64,
     /// Write serve telemetry as JSON lines to this file
     /// (`--metrics-out`): request/batch/queue/reload statistics.
     pub metrics_out: Option<String>,
@@ -658,7 +656,6 @@ pub fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
         model: String::new(),
         listen: None,
         max_batch: 64,
-        max_wait_us: 2_000,
         metrics_out: None,
         reload_poll_ms: 200,
         max_connections: 256,
@@ -680,9 +677,6 @@ pub fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
             "--listen" => out.listen = Some(take("--listen")?),
             "--stdin" => stdin_explicit = true,
             "--max-batch" => out.max_batch = parse_num(&take("--max-batch")?, "--max-batch")?,
-            "--max-wait-us" => {
-                out.max_wait_us = parse_num(&take("--max-wait-us")?, "--max-wait-us")?
-            }
             "--metrics-out" => out.metrics_out = Some(take("--metrics-out")?),
             "--reload-poll-ms" => {
                 out.reload_poll_ms = parse_num(&take("--reload-poll-ms")?, "--reload-poll-ms")?
@@ -1331,7 +1325,7 @@ mod tests {
         let a = parse_serve(&sv(&["m.model"])).unwrap();
         assert_eq!(a.model, "m.model");
         assert_eq!(a.listen, None);
-        assert_eq!((a.max_batch, a.max_wait_us), (64, 2_000));
+        assert_eq!(a.max_batch, 64);
         assert_eq!(a.metrics_out, None);
         assert_eq!(a.reload_poll_ms, 200);
         // overload-hardening defaults: capped connections, bounded
@@ -1347,8 +1341,6 @@ mod tests {
             "127.0.0.1:7777",
             "--max-batch",
             "8",
-            "--max-wait-us",
-            "500",
             "--metrics-out",
             "m.json",
             "--reload-poll-ms",
@@ -1366,7 +1358,7 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(a.listen.as_deref(), Some("127.0.0.1:7777"));
-        assert_eq!((a.max_batch, a.max_wait_us), (8, 500));
+        assert_eq!(a.max_batch, 8);
         assert_eq!(a.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(a.reload_poll_ms, 0);
         assert_eq!(a.max_connections, 4);
@@ -1398,6 +1390,12 @@ mod tests {
         assert!(parse_serve(&sv(&["a.model", "b.model"])).is_err());
         assert!(parse_serve(&sv(&["--max-batch", "0", "m.model"])).is_err());
         assert!(parse_serve(&sv(&["--max-batch", "x", "m.model"])).is_err());
+        // the flush timer is gone: its flag is an unknown option now
+        let e = parse_serve(&sv(&["--max-wait-us", "500", "m.model"])).unwrap_err();
+        assert!(
+            e.to_string().contains("unknown option '--max-wait-us'"),
+            "{e}"
+        );
         assert!(parse_serve(&sv(&["--max-connections", "x", "m.model"])).is_err());
         assert!(parse_serve(&sv(&["--deadline-us"])).is_err()); // missing value
         assert!(parse_serve(&sv(&["--listen"])).is_err()); // missing value

@@ -2,7 +2,9 @@
 //!
 //! Serves any model `svm-train` can write (binary, multiclass, SVR) over
 //! newline-delimited JSON or LIBSVM-format request lines, coalescing
-//! concurrent requests into micro-batches. Reads stdin by default, or
+//! concurrent requests into micro-batches: an idle engine predicts a
+//! request at once, and requests arriving meanwhile form the next batch
+//! (up to `--max-batch`). Reads stdin by default, or
 //! listens on TCP with `--listen host:port`.
 //!
 //! Overload hardening: `--max-connections` caps concurrency,
@@ -24,7 +26,7 @@ fn main() -> ExitCode {
                 "svm-serve: {e}\n\
                  usage: svm-serve [options] model_file\n\
                  options: --stdin (default) | --listen host:port\n\
-                 \x20        --max-batch n (64) | --max-wait-us n (2000)\n\
+                 \x20        --max-batch n (64)\n\
                  \x20        --max-connections n (256, 0 = unlimited)\n\
                  \x20        --queue-watermark n (1024, 0 = off)\n\
                  \x20        --deadline-us n (0 = off)\n\

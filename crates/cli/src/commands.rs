@@ -793,7 +793,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
         model,
         EngineConfig {
             max_batch: args.max_batch,
-            max_wait_us: args.max_wait_us,
             queue_watermark: args.queue_watermark,
             deadline_us: args.deadline_us,
         },
@@ -807,8 +806,8 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
         let (kind, features, total_sv) = engine.model_info();
         eprintln!(
             "svm-serve: serving {kind} model '{}' ({features} features, {total_sv} SVs), \
-             max_batch={}, max_wait_us={}",
-            args.model, args.max_batch, args.max_wait_us
+             max_batch={}",
+            args.model, args.max_batch
         );
         eprintln!(
             "svm-serve: admission max_connections={} queue_watermark={} deadline_us={} \

@@ -1,23 +1,30 @@
-//! The bounded micro-batching queue: requests coalesce until `max_batch`
-//! of them are pending or the oldest has waited `max_wait_us`, then flush
-//! as one batch into the panelized prediction path.
+//! The bounded, work-conserving micro-batching queue: its single worker
+//! takes whatever is queued, up to `max_batch`, the moment it is free.
+//! Requests that arrive while a batch runs form the next batch, so batch
+//! size follows load without a flush timer.
 //!
 //! The design is testable-first, split in two layers:
 //!
-//! * [`BatchQueue`] — a *pure* state machine. `push` and `poll` take the
+//! * [`BatchQueue`] — a *pure* state machine. `push` and `take` take the
 //!   current time as an explicit argument and never block, so every
-//!   flush-on-max-batch vs flush-on-deadline interleaving is pinned by a
-//!   plain unit test with hand-picked timestamps.
+//!   batch-size and deadline interleaving is pinned by a plain unit test
+//!   with hand-picked timestamps.
 //! * [`Batcher`] — the threaded wrapper: one worker thread drives the
 //!   queue against an injected [`Clock`], submitters get a [`Ticket`]
-//!   (one-shot slot) their response is routed back through. With a
-//!   [`crate::clock::ManualClock`] the worker's timing behavior is
-//!   deterministic; with the [`crate::clock::SystemClock`] it serves real
-//!   traffic.
+//!   (one-shot slot) their response is routed back through. The worker
+//!   waits on the clock only while the queue is empty.
 //!
 //! Ordering guarantee: batches preserve FIFO submission order, both
 //! within a batch (queue order) and across batches (an earlier request is
 //! never flushed later than a later one).
+//!
+//! Wakes: a submitter in the middle of a burst (a connection reader with
+//! another line already buffered) passes `defer_wake` and wakes the
+//! worker itself via [`Batcher::wake`] before it could block, so a
+//! pipelined burst costs one wake, not one per line. The push that
+//! brings the queue to `min(max_batch, queue_watermark)` wakes the worker
+//! regardless, so a full batch never waits and a burst is never shed as
+//! `overloaded` while the worker sleeps.
 //!
 //! Overload policy (both knobs default off in [`Batcher::new`], on via
 //! [`BatcherConfig`]):
@@ -30,7 +37,9 @@
 //!   than `deadline_us` when its batch is taken is split into
 //!   [`Flush::expired`] and answered through the `expire` hook without
 //!   ever occupying a batch slot, so overload never wastes compute on
-//!   answers nobody is waiting for.
+//!   answers nobody is waiting for. A request can only wait while a batch
+//!   runs or its reader is still parsing a burst, so the next take always
+//!   sees it: no expiry timer is needed.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -45,10 +54,8 @@ use crate::clock::Clock;
 /// Batching and admission knobs for a [`Batcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatcherConfig {
-    /// Flush when this many requests are pending (clamped to ≥ 1).
+    /// Largest batch one take hands the processor (clamped to ≥ 1).
     pub max_batch: usize,
-    /// Flush when the oldest pending request is this old (clock µs).
-    pub max_wait_us: u64,
     /// Shed new submissions once the queue already holds this many
     /// requests; `0` disables the watermark (unbounded queue).
     pub queue_watermark: usize,
@@ -62,7 +69,6 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait_us: 2_000,
             queue_watermark: 1_024,
             deadline_us: 0,
         }
@@ -82,23 +88,11 @@ pub enum Shed {
     ShuttingDown,
 }
 
-/// What [`BatchQueue::poll`] decided.
-#[derive(Debug, PartialEq, Eq)]
-pub enum QueuePoll<R> {
-    /// A batch is due: process it now.
-    Ready(Flush<R>),
-    /// Requests are pending but the batch is neither full nor overdue —
-    /// wait until the contained deadline (µs) unless new work arrives.
-    WaitUntil(u64),
-    /// Nothing is queued.
-    Empty,
-}
-
-/// One flushed batch plus its queue bookkeeping.
+/// One taken batch plus its queue bookkeeping.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Flush<R> {
-    /// The coalesced requests, in FIFO submission order. May be empty
-    /// when a poll woke only to expire overdue requests.
+    /// The coalesced requests, in FIFO submission order. Empty when
+    /// every queued request had expired.
     pub items: Vec<R>,
     /// Requests that waited past their deadline, in FIFO order; they are
     /// answered `deadline_exceeded` and never occupy a batch slot.
@@ -115,36 +109,19 @@ pub struct Flush<R> {
 pub struct BatchQueue<R> {
     items: VecDeque<(R, u64)>,
     max_batch: usize,
-    max_wait_us: u64,
     deadline_us: u64,
 }
 
 impl<R> BatchQueue<R> {
-    /// A queue flushing at `max_batch` requests (clamped to ≥ 1) or when
-    /// the oldest pending request is `max_wait_us` old, with no
-    /// per-request deadline.
-    pub fn new(max_batch: usize, max_wait_us: u64) -> Self {
-        Self::with_deadline(max_batch, max_wait_us, 0)
-    }
-
-    /// Like [`BatchQueue::new`], but a request that queued strictly
-    /// longer than `deadline_us` is expired at dequeue time (`0`
-    /// disables deadlines).
-    pub fn with_deadline(max_batch: usize, max_wait_us: u64, deadline_us: u64) -> Self {
+    /// A queue handing out at most `max_batch` requests per take (clamped
+    /// to ≥ 1); a request that queued strictly longer than `deadline_us`
+    /// is expired at dequeue time (`0` disables deadlines).
+    pub fn new(max_batch: usize, deadline_us: u64) -> Self {
         Self {
             items: VecDeque::new(),
             max_batch: max_batch.max(1),
-            max_wait_us,
             deadline_us,
         }
-    }
-
-    /// The instant (clock µs) at which a request enqueued at `enq` goes
-    /// from "late" to "expired": strictly past its deadline, so a wake
-    /// scheduled exactly here always observes the expiry.
-    fn expiry_at(&self, enq: u64) -> u64 {
-        debug_assert!(self.deadline_us > 0);
-        enq.saturating_add(self.deadline_us).saturating_add(1)
     }
 
     /// Enqueues a request observed at `now_us`.
@@ -162,80 +139,37 @@ impl<R> BatchQueue<R> {
         self.items.is_empty()
     }
 
-    /// Decides, at `now_us`, whether a batch is due: full (`max_batch`
-    /// pending), overdue (oldest pending request past `max_wait_us`), or
-    /// — with deadlines on — the oldest request strictly past
-    /// `deadline_us` (it must be expired promptly, not left to rot until
-    /// the flush timer fires).
-    pub fn poll(&mut self, now_us: u64) -> QueuePoll<R> {
-        let Some((_, oldest)) = self.items.front() else {
-            return QueuePoll::Empty;
-        };
-        let flush_at = oldest.saturating_add(self.max_wait_us);
-        let expiry_at = if self.deadline_us > 0 {
-            self.expiry_at(*oldest)
-        } else {
-            u64::MAX
-        };
-        if self.items.len() >= self.max_batch || now_us >= flush_at.min(expiry_at) {
-            QueuePoll::Ready(self.take_batch(now_us, false))
-        } else {
-            QueuePoll::WaitUntil(flush_at.min(expiry_at))
-        }
-    }
-
-    /// Takes a batch immediately regardless of the flush timer (shutdown
-    /// drain). Requests already past their deadline still expire.
-    pub fn flush_now(&mut self, now_us: u64) -> QueuePoll<R> {
+    /// Takes the next batch at `now_us`: the prefix of requests strictly
+    /// past their deadline expires, and up to `max_batch` of the rest
+    /// form the batch. `None` when nothing is queued.
+    pub fn take(&mut self, now_us: u64) -> Option<Flush<R>> {
         if self.items.is_empty() {
-            QueuePoll::Empty
-        } else {
-            QueuePoll::Ready(self.take_batch(now_us, true))
+            return None;
         }
-    }
-
-    fn take_batch(&mut self, now_us: u64, force: bool) -> Flush<R> {
         // enqueue timestamps are non-decreasing (one monotonic clock), so
         // everything expired sits in a prefix of the FIFO
         let mut expired = Vec::new();
         if self.deadline_us > 0 {
             while let Some((_, enq)) = self.items.front() {
-                if now_us >= self.expiry_at(*enq) {
+                if now_us.saturating_sub(*enq) > self.deadline_us {
                     expired.push(self.items.pop_front().expect("front exists").0);
                 } else {
                     break;
                 }
             }
         }
-        // after expiring the prefix, the survivors may be neither full
-        // nor overdue (the wake was for the expiry alone): leave them
-        // queued rather than flushing an undersized batch early
-        let due = force
-            || self.items.len() >= self.max_batch
-            || self
-                .items
-                .front()
-                .is_some_and(|(_, enq)| now_us >= enq.saturating_add(self.max_wait_us));
-        let n = if due {
-            self.items.len().min(self.max_batch)
-        } else {
-            0
-        };
-        let mut items = Vec::with_capacity(n);
-        let mut oldest_wait_us = 0;
-        for i in 0..n {
-            let (item, enqueued) = self.items.pop_front().expect("n <= len");
-            if i == 0 {
-                oldest_wait_us = now_us.saturating_sub(enqueued);
-            }
-            items.push(item);
-        }
-        Flush {
+        let oldest_wait_us = self
+            .items
+            .front()
+            .map_or(0, |(_, enq)| now_us.saturating_sub(*enq));
+        let n = self.items.len().min(self.max_batch);
+        let items = self.items.drain(..n).map(|(item, _)| item).collect();
+        Some(Flush {
             items,
             expired,
             oldest_wait_us,
             remaining: self.items.len(),
-        }
+        })
     }
 }
 
@@ -343,6 +277,9 @@ type Expire<R, S> = dyn Fn(R) -> S + Send + Sync;
 struct BatcherShared<R, S> {
     queue: Mutex<BatchQueue<(R, Ticket<S>)>>,
     watermark: usize,
+    /// Queue length at which even a deferred push wakes the worker:
+    /// `min(max_batch, queue_watermark)` (watermark 0 = no limit).
+    wake_at: usize,
     clock: Arc<dyn Clock>,
     process: Box<Process<R, S>>,
     /// Maps an expired request to its `deadline_exceeded` response;
@@ -367,14 +304,12 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
     /// `None`) instead of hanging.
     pub fn new(
         max_batch: usize,
-        max_wait_us: u64,
         clock: Arc<dyn Clock>,
         metrics: Option<Arc<dyn MetricsSink>>,
         process: impl Fn(Vec<R>) -> Vec<S> + Send + Sync + 'static,
     ) -> Self {
         let config = BatcherConfig {
             max_batch,
-            max_wait_us,
             queue_watermark: 0,
             deadline_us: 0,
         };
@@ -393,13 +328,15 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
         expire: Option<Box<Expire<R, S>>>,
         process: impl Fn(Vec<R>) -> Vec<S> + Send + Sync + 'static,
     ) -> Self {
+        let max_batch = config.max_batch.max(1);
+        let wake_at = match config.queue_watermark {
+            0 => max_batch,
+            watermark => max_batch.min(watermark),
+        };
         let shared = Arc::new(BatcherShared {
-            queue: Mutex::new(BatchQueue::with_deadline(
-                config.max_batch,
-                config.max_wait_us,
-                config.deadline_us,
-            )),
+            queue: Mutex::new(BatchQueue::new(max_batch, config.deadline_us)),
             watermark: config.queue_watermark,
+            wake_at,
             clock,
             process: Box::new(process),
             expire,
@@ -417,20 +354,12 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
         }
     }
 
-    /// Enqueues a request; the returned ticket resolves when its batch is
-    /// processed. After [`Batcher::shutdown`] the ticket is immediately
-    /// closed.
+    /// Enqueues a request and wakes the worker; the returned ticket
+    /// resolves when its batch is processed. A request
+    /// [`Batcher::try_submit`] would shed gets an already-closed ticket.
     pub fn submit(&self, req: R) -> Ticket<S> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Ticket::closed();
-        }
-        let ticket = Ticket::new();
-        {
-            let mut queue = self.lock_queue();
-            queue.push((req, ticket.clone()), self.shared.clock.now_us());
-        }
-        self.shared.clock.wake();
-        ticket
+        self.try_submit(req, false)
+            .unwrap_or_else(|_| Ticket::closed())
     }
 
     /// Admission-controlled submit: refuses instead of queueing when the
@@ -438,24 +367,38 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
     /// its watermark ([`Shed::Overloaded`]). The refusal is immediate —
     /// a shed request never holds a queue slot or a batch slot, which is
     /// what keeps admitted-request latency bounded under overload.
-    pub fn try_submit(&self, req: R) -> Result<Ticket<S>, Shed> {
+    ///
+    /// `defer_wake` is the caller's promise that it will call
+    /// [`Batcher::wake`] before it could block (e.g. a reader with more
+    /// request lines buffered). The worker is then woken only if this
+    /// push brings the queue to `min(max_batch, queue_watermark)`.
+    pub fn try_submit(&self, req: R, defer_wake: bool) -> Result<Ticket<S>, Shed> {
         if self.shared.shutdown.load(Ordering::SeqCst) {
             return Err(Shed::ShuttingDown);
         }
         let ticket = Ticket::new();
-        {
+        let depth = {
             let mut queue = self.lock_queue();
             let depth = queue.len();
             if self.shared.watermark > 0 && depth >= self.shared.watermark {
                 return Err(Shed::Overloaded { depth });
             }
             queue.push((req, ticket.clone()), self.shared.clock.now_us());
+            depth + 1
+        };
+        if !defer_wake || depth >= self.shared.wake_at {
+            self.wake();
         }
-        self.shared.clock.wake();
         Ok(ticket)
     }
 
-    /// Requests currently queued (not yet flushed into a batch).
+    /// Wakes the worker so it takes whatever is queued (the other half of
+    /// a deferred [`Batcher::try_submit`]).
+    pub fn wake(&self) {
+        self.shared.clock.wake();
+    }
+
+    /// Requests currently queued (not yet taken into a batch).
     pub fn queue_depth(&self) -> usize {
         self.lock_queue().len()
     }
@@ -490,27 +433,20 @@ impl<R, S> Drop for Batcher<R, S> {
 fn worker_loop<R, S>(shared: &BatcherShared<R, S>) {
     loop {
         let shutting_down = shared.shutdown.load(Ordering::SeqCst);
-        // sample the wake counter BEFORE polling: a submit landing after
-        // the poll bumps it, so the wait below returns immediately
+        // sample the wake counter BEFORE taking: a submit landing after
+        // the take bumps it, so the wait below returns immediately
         let seen = shared.clock.wake_count();
         let now = shared.clock.now_us();
-        let action = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if shutting_down {
-                queue.flush_now(now)
-            } else {
-                queue.poll(now)
-            }
-        };
-        match action {
-            QueuePoll::Ready(flush) => run_batch(shared, flush),
-            QueuePoll::WaitUntil(deadline) => shared.clock.wait_until(seen, Some(deadline)),
-            QueuePoll::Empty => {
-                if shutting_down {
-                    return;
-                }
-                shared.clock.wait_until(seen, None);
-            }
+        let flush = shared
+            .queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take(now);
+        match flush {
+            Some(flush) => run_batch(shared, flush),
+            // the shutdown drain is the ordinary take: stop once empty
+            None if shutting_down => return,
+            None => shared.clock.wait_until(seen, None),
         }
     }
 }
@@ -534,7 +470,7 @@ fn run_batch<R, S>(shared: &BatcherShared<R, S>, flush: Flush<(R, Ticket<S>)>) {
         }
     }
     if items.is_empty() {
-        // the wake was for expiries alone — no batch ran, so no batch
+        // every queued request had expired — no batch ran, so no batch
         // sample: batch metrics only ever describe real processor calls
         return;
     }
@@ -578,45 +514,40 @@ mod tests {
 
     #[test]
     fn queue_flushes_on_max_batch_regardless_of_time() {
-        let mut q = BatchQueue::new(3, 1_000);
-        q.push("a", 0);
-        q.push("b", 0);
-        assert_eq!(q.poll(0), QueuePoll::WaitUntil(1_000));
-        q.push("c", 0);
-        match q.poll(0) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.items, vec!["a", "b", "c"]);
-                assert_eq!(f.remaining, 0);
-                assert_eq!(f.oldest_wait_us, 0);
-            }
-            other => panic!("expected Ready, got {other:?}"),
+        let mut q = BatchQueue::new(3, 0);
+        for item in ["a", "b", "c", "d"] {
+            q.push(item, 0);
         }
-        assert_eq!(q.poll(0), QueuePoll::Empty);
+        let f = q.take(0).unwrap();
+        assert_eq!(f.items, vec!["a", "b", "c"]);
+        assert_eq!(f.remaining, 1);
+        assert_eq!(f.oldest_wait_us, 0);
+        let f = q.take(0).unwrap();
+        assert_eq!(f.items, vec!["d"]);
+        assert_eq!(f.remaining, 0);
+        assert_eq!(q.take(0), None);
     }
 
     #[test]
     fn queue_flushes_on_deadline_exactly() {
+        // a request that waited EXACTLY its deadline is still batched,
+        // not expired, and reports the full wait
         let mut q = BatchQueue::new(10, 500);
         q.push(1, 100);
-        assert_eq!(q.poll(100), QueuePoll::WaitUntil(600));
-        assert_eq!(q.poll(599), QueuePoll::WaitUntil(600));
-        match q.poll(600) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.items, vec![1]);
-                assert_eq!(f.oldest_wait_us, 500);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
+        let f = q.take(600).unwrap();
+        assert_eq!(f.items, vec![1]);
+        assert!(f.expired.is_empty());
+        assert_eq!(f.oldest_wait_us, 500);
     }
 
     #[test]
     fn oversized_backlog_drains_in_fifo_chunks() {
-        let mut q = BatchQueue::new(2, 100);
+        let mut q = BatchQueue::new(2, 0);
         for i in 0..5 {
             q.push(i, 0);
         }
         let mut batches = Vec::new();
-        while let QueuePoll::Ready(f) = q.poll(1_000) {
+        while let Some(f) = q.take(1_000) {
             batches.push(f.items);
         }
         assert_eq!(batches, vec![vec![0, 1], vec![2, 3], vec![4]]);
@@ -624,117 +555,49 @@ mod tests {
 
     #[test]
     fn deadline_follows_oldest_pending_request() {
-        let mut q = BatchQueue::new(10, 200);
+        let mut q = BatchQueue::new(10, 0);
         q.push("old", 50);
         q.push("new", 240);
-        // deadline is the OLDEST request's enqueue + max_wait
-        assert_eq!(q.poll(240), QueuePoll::WaitUntil(250));
-        match q.poll(250) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.items, vec!["old", "new"]);
-                assert_eq!(f.oldest_wait_us, 200);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn flush_now_drains_without_deadline() {
-        let mut q = BatchQueue::new(10, 1_000_000);
-        assert_eq!(q.flush_now(0), QueuePoll::Empty);
-        q.push(7, 0);
-        match q.flush_now(1) {
-            QueuePoll::Ready(f) => assert_eq!(f.items, vec![7]),
-            other => panic!("expected Ready, got {other:?}"),
-        }
+        // the reported wait is the OLDEST request's, not the newest's
+        let f = q.take(250).unwrap();
+        assert_eq!(f.items, vec!["old", "new"]);
+        assert_eq!(f.oldest_wait_us, 200);
     }
 
     #[test]
     fn deadline_expires_strictly_after_wait_exceeds_budget() {
-        let mut q = BatchQueue::with_deadline(10, 1_000, 200);
-        q.push("r", 100);
-        // the queue must wake at the expiry instant (enq + deadline + 1),
-        // which beats the flush timer (enq + max_wait)
-        assert_eq!(q.poll(100), QueuePoll::WaitUntil(301));
-        // waited EXACTLY the deadline: still live, still only waiting
-        assert_eq!(q.poll(300), QueuePoll::WaitUntil(301));
-        match q.poll(301) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.expired, vec!["r"]);
-                assert!(f.items.is_empty());
-                assert_eq!(f.remaining, 0);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
-        assert_eq!(q.poll(302), QueuePoll::Empty);
+        let mut q = BatchQueue::new(10, 200);
+        q.push("late", 100);
+        q.push("on_time", 101);
+        // at 301: "late" waited 201 µs (strictly past 200) and expires;
+        // "on_time" waited exactly 200 µs and is still batched
+        let f = q.take(301).unwrap();
+        assert_eq!(f.expired, vec!["late"]);
+        assert_eq!(f.items, vec!["on_time"]);
+        assert_eq!(f.oldest_wait_us, 200);
+        assert_eq!(f.remaining, 0);
+        assert_eq!(q.take(302), None);
+        // a queue holding only expired requests still yields a take, with
+        // no batch items
+        q.push("dead", 0);
+        let f = q.take(1_000).unwrap();
+        assert_eq!(f.expired, vec!["dead"]);
+        assert!(f.items.is_empty());
     }
 
     #[test]
     fn expired_prefix_splits_from_live_batch() {
-        let mut q = BatchQueue::with_deadline(10, 50, 200);
+        let mut q = BatchQueue::new(10, 200);
         q.push("dead1", 0);
         q.push("dead2", 10);
         q.push("live", 250);
-        // at 300: both old requests are strictly past 200µs of waiting,
-        // "live" (waited 50 = its flush timer) flushes as a normal batch
-        match q.poll(300) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.expired, vec!["dead1", "dead2"]);
-                assert_eq!(f.items, vec!["live"]);
-                assert_eq!(f.oldest_wait_us, 50);
-                assert_eq!(f.remaining, 0);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expiry_wake_leaves_fresh_survivors_queued() {
-        let mut q = BatchQueue::with_deadline(10, 500, 100);
-        q.push("dead", 0);
-        q.push("fresh", 90);
-        // 101: "dead" expires; "fresh" (waited 11µs of its 500µs flush
-        // window) must NOT be flushed early just because the wake fired
-        match q.poll(101) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.expired, vec!["dead"]);
-                assert!(f.items.is_empty());
-                assert_eq!(f.remaining, 1);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
-        // the next poll re-arms on the survivor's own deadlines
-        assert_eq!(q.poll(101), QueuePoll::WaitUntil(191));
-    }
-
-    #[test]
-    fn flush_now_still_expires_overdue_requests() {
-        let mut q = BatchQueue::with_deadline(10, 1_000_000, 100);
-        q.push("dead", 0);
-        q.push("live", 150);
-        match q.flush_now(200) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.expired, vec!["dead"]);
-                assert_eq!(f.items, vec!["live"]);
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadline_equal_to_max_wait_flushes_instead_of_expiring() {
-        // the flush timer fires at enq+max_wait, the expiry strictly
-        // after (enq+deadline+1): an on-time flush wins the race
-        let mut q = BatchQueue::with_deadline(10, 200, 200);
-        q.push("r", 0);
-        assert_eq!(q.poll(0), QueuePoll::WaitUntil(200));
-        match q.poll(200) {
-            QueuePoll::Ready(f) => {
-                assert_eq!(f.items, vec!["r"]);
-                assert!(f.expired.is_empty());
-            }
-            other => panic!("expected Ready, got {other:?}"),
-        }
+        // at 300: both old requests are strictly past 200 µs of waiting;
+        // "live" (waited 50) is taken in the same step, not left behind
+        let f = q.take(300).unwrap();
+        assert_eq!(f.expired, vec!["dead1", "dead2"]);
+        assert_eq!(f.items, vec!["live"]);
+        assert_eq!(f.oldest_wait_us, 50);
+        assert_eq!(f.remaining, 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Injectable time source for the serving layer.
 //!
-//! Every timing-dependent behavior in this crate — micro-batch deadlines,
+//! Every timing-dependent behavior in this crate — queueing deadlines,
 //! queue waits, request latencies — runs against the [`Clock`] trait, so
 //! tests drive time deterministically with a [`ManualClock`] (no sleeps)
 //! while production uses the wall-clock [`SystemClock`].

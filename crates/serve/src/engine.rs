@@ -2,11 +2,18 @@
 //!
 //! [`Engine`] owns the model slot, the micro-batcher and the telemetry
 //! hooks. Requests flow `handle_line` → (micro-batch queue) → the
-//! panelized prediction path → `resolve`. The model lives behind a
-//! generation-counted `Arc` swap: [`Engine::install`] replaces the slot
-//! only after the new model fully loaded and validated, and an in-flight
-//! batch keeps its own `Arc` clone — so a hot reload never drops a
-//! request and never exposes a half-loaded model.
+//! panelized prediction path → `resolve`. The batcher is work-conserving:
+//! a request reaching an idle engine is predicted at once, and requests
+//! that arrive while a batch runs form the next batch. A connection
+//! reader with more lines buffered defers the wake and calls
+//! [`Engine::wake`] before it could block, so a pipelined burst wakes the
+//! engine once.
+//!
+//! The model lives behind a generation-counted `Arc` swap:
+//! [`Engine::install`] replaces the slot only after the new model fully
+//! loaded and validated, and an in-flight batch keeps its own `Arc` clone
+//! — so a hot reload never drops a request and never exposes a
+//! half-loaded model.
 //!
 //! Requests stay *sparse* until their batch is formed, then densify
 //! against whatever model generation is current at that moment. A reload
@@ -30,10 +37,8 @@ use crate::protocol::{
 /// Micro-batching and admission knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Flush a batch as soon as this many requests are queued.
+    /// Largest batch the engine predicts in one call.
     pub max_batch: usize,
-    /// Flush a batch once its oldest request has waited this long (µs).
-    pub max_wait_us: u64,
     /// Shed requests with `overloaded` once this many are already
     /// queued; `0` disables shedding (unbounded queue, PR 7 behavior).
     pub queue_watermark: usize,
@@ -47,7 +52,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_batch: 64,
-            max_wait_us: 2_000,
             queue_watermark: 1_024,
             deadline_us: 0,
         }
@@ -123,7 +127,6 @@ impl Engine {
         let process_slot = Arc::clone(&slot);
         let batcher_config = BatcherConfig {
             max_batch: config.max_batch,
-            max_wait_us: config.max_wait_us,
             queue_watermark: config.queue_watermark,
             deadline_us: config.deadline_us,
         };
@@ -150,8 +153,10 @@ impl Engine {
 
     /// Parses one wire line. `None` means the line needs no response
     /// (blank/comment); otherwise resolve the returned [`Pending`] —
-    /// in submission order — to get the response line.
-    pub fn handle_line(&self, line: &str) -> Option<Pending> {
+    /// in submission order — to get the response line. With
+    /// `defer_wake`, the caller must call [`Engine::wake`] before it
+    /// could block (see [`Batcher::try_submit`]).
+    pub fn handle_line(&self, line: &str, defer_wake: bool) -> Option<Pending> {
         match parse_line(line) {
             ParsedLine::Ignored => None,
             ParsedLine::Error {
@@ -163,14 +168,15 @@ impl Engine {
                 id,
                 message,
             }),
-            ParsedLine::Query(q) => Some(self.submit(q)),
+            ParsedLine::Query(q) => Some(self.submit(q, defer_wake)),
         }
     }
 
     /// Queues a parsed request into the micro-batcher, or sheds it when
     /// the server is draining or the queue is at its watermark. Sheds
     /// are counted here (at the decision point), exactly once.
-    pub fn submit(&self, query: Query) -> Pending {
+    /// `defer_wake` as in [`Engine::handle_line`].
+    pub fn submit(&self, query: Query, defer_wake: bool) -> Pending {
         let Query {
             id,
             entries,
@@ -180,7 +186,7 @@ impl Engine {
             return self.shed(format, id, ServeShedKind::ShuttingDown);
         }
         let submitted_us = self.clock.now_us();
-        match self.batcher.try_submit(entries) {
+        match self.batcher.try_submit(entries, defer_wake) {
             Ok(ticket) => Pending::Queued {
                 format,
                 id,
@@ -241,7 +247,13 @@ impl Engine {
     /// Convenience: `handle_line` + `resolve` in one call (used by tests
     /// and the stdin serving mode's degenerate single-thread path).
     pub fn respond_line(&self, line: &str) -> Option<String> {
-        self.handle_line(line).map(|p| self.resolve(p))
+        self.handle_line(line, false).map(|p| self.resolve(p))
+    }
+
+    /// Wakes the batch worker to take whatever is queued: the reader's
+    /// half of a deferred [`Engine::handle_line`].
+    pub fn wake(&self) {
+        self.batcher.wake();
     }
 
     /// Atomically installs a new model generation and returns its id.
@@ -366,7 +378,6 @@ mod tests {
             ServeModel::from_text(BINARY).unwrap(),
             EngineConfig {
                 max_batch: 1,
-                max_wait_us: 0,
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),

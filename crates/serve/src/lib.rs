@@ -14,7 +14,7 @@
 //! structured error line, never a silent drop.
 //!
 //! Everything timing-dependent is built against the injectable
-//! [`clock::Clock`] so batching deadlines and reload behavior are
+//! [`clock::Clock`] so queueing deadlines and reload behavior are
 //! deterministically testable without sleeps.
 
 #![warn(missing_docs)]
@@ -29,7 +29,7 @@ pub mod protocol;
 pub mod reload;
 
 pub use admission::{ConnGuard, ServerControl};
-pub use batcher::{BatchQueue, Batcher, BatcherConfig, Flush, QueuePoll, Shed, Ticket};
+pub use batcher::{BatchQueue, Batcher, BatcherConfig, Flush, Shed, Ticket};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use engine::{Engine, EngineConfig, Pending};
 pub use model::{Prediction, ServeModel};

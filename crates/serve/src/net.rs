@@ -6,6 +6,13 @@
 //! requests that are still streaming in, yet clients always receive
 //! answers in the order they sent requests.
 //!
+//! Both halves batch their wakeups. The writer drains every response that
+//! is ready before it flushes; the reader submits with a deferred wake
+//! while another line is already buffered ([`TimedRead::line_buffered`])
+//! and wakes the engine only before it could block: when its buffer runs
+//! dry, before a send into a full pipeline, and on every exit. A
+//! pipelined burst therefore costs one engine wake and one flush.
+//!
 //! The transport is where overload hardening meets the outside world:
 //!
 //! * Reads go through [`read_request_line`], which enforces a per-line
@@ -25,7 +32,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
 use plssvm_core::trace::ServeShedKind;
@@ -67,21 +74,47 @@ pub trait TimedRead: BufRead {
     fn set_read_timeout(&mut self, _timeout: Option<Duration>) -> std::io::Result<()> {
         Ok(())
     }
+
+    /// Whether a complete line is already buffered, so the next
+    /// [`read_request_line`] cannot block. The default `false` makes the
+    /// reader wake the engine after every line.
+    fn line_buffered(&self) -> bool {
+        false
+    }
 }
 
 impl TimedRead for BufReader<TcpStream> {
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.get_ref().set_read_timeout(timeout)
     }
+
+    fn line_buffered(&self) -> bool {
+        self.buffer().contains(&b'\n')
+    }
 }
 
-impl<T: AsRef<[u8]>> TimedRead for std::io::Cursor<T> {}
+impl<T: AsRef<[u8]>> TimedRead for std::io::Cursor<T> {
+    fn line_buffered(&self) -> bool {
+        let rest = usize::try_from(self.position())
+            .ok()
+            .and_then(|pos| self.get_ref().as_ref().get(pos..));
+        rest.is_some_and(|rest| rest.contains(&b'\n'))
+    }
+}
 impl TimedRead for std::io::StdinLock<'_> {}
-impl TimedRead for BufReader<std::io::Stdin> {}
+impl TimedRead for BufReader<std::io::Stdin> {
+    fn line_buffered(&self) -> bool {
+        self.buffer().contains(&b'\n')
+    }
+}
 impl TimedRead for std::io::Empty {}
 impl<T: TimedRead + ?Sized> TimedRead for &mut T {
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         (**self).set_read_timeout(timeout)
+    }
+
+    fn line_buffered(&self) -> bool {
+        (**self).line_buffered()
     }
 }
 
@@ -197,38 +230,11 @@ where
 {
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::sync_channel::<ReaderMsg>(PIPELINE_DEPTH);
-        let reader = s.spawn(move || -> std::io::Result<()> {
-            let mut input = input;
-            input.set_read_timeout(opts.client_timeout)?;
-            loop {
-                let line = match read_request_line(&mut input, opts.client_timeout)? {
-                    LineRead::Line(line) => line,
-                    LineRead::Eof => return Ok(()),
-                    LineRead::TimedOut => {
-                        let _ = tx.send(ReaderMsg::Verbatim(ERR_CLIENT_TIMEOUT_LINE));
-                        return Ok(());
-                    }
-                    LineRead::TooLong => {
-                        let _ = tx.send(ReaderMsg::Verbatim(ERR_LINE_TOO_LONG_LINE));
-                        return Ok(());
-                    }
-                };
-                // control lines are transport-level: ack through the FIFO
-                // (so it lands after every earlier response), start the
-                // drain, and stop reading — this connection is done
-                if let Some(Control::Shutdown) = parse_control(&line) {
-                    let _ = tx.send(ReaderMsg::Verbatim(DRAIN_ACK));
-                    engine.set_draining();
-                    control.begin_drain();
-                    return Ok(());
-                }
-                if let Some(pending) = engine.handle_line(&line) {
-                    if tx.send(ReaderMsg::Pending(pending)).is_err() {
-                        // writer side failed; stop reading
-                        return Ok(());
-                    }
-                }
-            }
+        let reader = s.spawn(move || {
+            let result = read_requests(engine, input, &tx, opts, control);
+            // every exit may leave deferred requests queued
+            engine.wake();
+            result
         });
         // drain-then-flush: resolve every response that is already
         // available before paying for a flush, so pipelined streams cost
@@ -266,6 +272,67 @@ where
         let read_result = reader.join().unwrap_or(Ok(()));
         write_result.and(read_result)
     })
+}
+
+/// The reader half of [`serve_connection`]: parses and submits lines
+/// until EOF, a timeout, an oversized line, a `shutdown` control line or
+/// a failed send.
+fn read_requests<R: TimedRead>(
+    engine: &Engine,
+    mut input: R,
+    tx: &SyncSender<ReaderMsg>,
+    opts: ConnectionOptions,
+    control: &ServerControl,
+) -> std::io::Result<()> {
+    input.set_read_timeout(opts.client_timeout)?;
+    loop {
+        let line = match read_request_line(&mut input, opts.client_timeout)? {
+            LineRead::Line(line) => line,
+            LineRead::Eof => return Ok(()),
+            LineRead::TimedOut => {
+                send(engine, tx, ReaderMsg::Verbatim(ERR_CLIENT_TIMEOUT_LINE));
+                return Ok(());
+            }
+            LineRead::TooLong => {
+                send(engine, tx, ReaderMsg::Verbatim(ERR_LINE_TOO_LONG_LINE));
+                return Ok(());
+            }
+        };
+        // control lines are transport-level: ack through the FIFO (so it
+        // lands after every earlier response), start the drain, and stop
+        // reading — this connection is done
+        if let Some(Control::Shutdown) = parse_control(&line) {
+            send(engine, tx, ReaderMsg::Verbatim(DRAIN_ACK));
+            engine.set_draining();
+            control.begin_drain();
+            return Ok(());
+        }
+        let pending = engine.handle_line(&line, true);
+        if !input.line_buffered() {
+            // the next read may block: let the engine take the burst
+            engine.wake();
+        }
+        if let Some(pending) = pending {
+            if !send(engine, tx, ReaderMsg::Pending(pending)) {
+                // writer side failed; stop reading
+                return Ok(());
+            }
+        }
+    }
+}
+
+/// Hands `msg` to the writer; `false` once the writer is gone. A send
+/// that would block wakes the engine first: the writer may be waiting on
+/// a request whose wake the reader deferred.
+fn send(engine: &Engine, tx: &SyncSender<ReaderMsg>, msg: ReaderMsg) -> bool {
+    match tx.try_send(msg) {
+        Ok(()) => true,
+        Err(TrySendError::Full(msg)) => {
+            engine.wake();
+            tx.send(msg).is_ok()
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    }
 }
 
 /// [`serve_connection`] with no timeout and a private, unlimited
@@ -390,12 +457,11 @@ mod tests {
 
     const BINARY: &str = "svm_type c_svc\nkernel_type linear\nnr_class 2\ntotal_sv 2\nrho 0\nlabel 1 -1\nnr_sv 1 1\nSV\n1 1:1\n-1 2:1\n";
 
-    fn engine(max_batch: usize, max_wait_us: u64) -> Engine {
+    fn engine(max_batch: usize) -> Engine {
         Engine::new(
             ServeModel::from_text(BINARY).unwrap(),
             EngineConfig {
                 max_batch,
-                max_wait_us,
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),
@@ -407,7 +473,7 @@ mod tests {
     fn serve_lines_answers_fifo_and_skips_comments() {
         // batching on (max_batch 8): responses must still come back in
         // submission order
-        let e = engine(8, 200);
+        let e = engine(8);
         let input = "1 1:3 2:1\n# comment\n1:0 2:5\n\nbad ::\n{\"id\":1,\"features\":[1,0]}\n";
         let mut out = Vec::new();
         serve_lines(&e, Cursor::new(input), &mut out).unwrap();
@@ -426,7 +492,7 @@ mod tests {
         use std::io::{BufRead, Write};
         use std::net::TcpStream;
 
-        let e = Arc::new(engine(16, 500));
+        let e = Arc::new(engine(16));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stop = Arc::new(AtomicBool::new(false));
@@ -516,11 +582,19 @@ mod tests {
 
     #[test]
     fn read_request_line_handles_eof_partial_and_timeout() {
-        let mut c = Cursor::new(b"full line\npartial".to_vec());
+        let mut c = Cursor::new(b"first\nfull line\npartial".to_vec());
+        assert!(c.line_buffered());
+        assert_eq!(
+            read_request_line(&mut c, None).unwrap(),
+            LineRead::Line("first".into())
+        );
+        assert!(c.line_buffered());
         assert_eq!(
             read_request_line(&mut c, None).unwrap(),
             LineRead::Line("full line".into())
         );
+        // only an unterminated tail is left: the next read could block
+        assert!(!c.line_buffered());
         // a final unterminated line still parses (read_line semantics)
         assert_eq!(
             read_request_line(&mut c, None).unwrap(),
@@ -560,7 +634,7 @@ mod tests {
 
     #[test]
     fn stalled_client_gets_final_timeout_line() {
-        let e = engine(1, 0);
+        let e = engine(1);
         let input = StallingReader {
             data: Cursor::new(b"1 1:3\n{\"id\":2,\"feat".to_vec()),
             stalled: false,
@@ -574,18 +648,40 @@ mod tests {
         assert_eq!(lines, vec!["1", ERR_CLIENT_TIMEOUT_LINE], "{out}");
     }
 
+    /// Runs `f` on its own thread, failing the test instead of hanging
+    /// if it never returns.
+    fn within<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || tx.send(f()).unwrap());
+        let out = rx.recv_timeout(Duration::from_secs(60)).expect("hung");
+        worker.join().unwrap();
+        out
+    }
+
     #[test]
     fn shutdown_control_line_acks_drains_and_ends_stream() {
-        let e = engine(8, 200);
-        let control = ServerControl::unlimited();
-        let input = Cursor::new("1 1:3\nshutdown\n1 2:9\n".as_bytes().to_vec());
-        let mut out = Vec::new();
-        serve_connection(&e, input, &mut out, ConnectionOptions::default(), &control).unwrap();
-        let out = String::from_utf8(out).unwrap();
+        let e = Arc::new(engine(8));
+        let control = Arc::new(ServerControl::unlimited());
+        let (e2, control2) = (Arc::clone(&e), Arc::clone(&control));
+        let out = within(move || {
+            // both requests have a line buffered behind them, so neither
+            // wakes the engine itself: the reader's exit must
+            let input = Cursor::new("1 1:3\n1 2:3\nshutdown\n1 2:9\n".as_bytes().to_vec());
+            let mut out = Vec::new();
+            serve_connection(
+                &e2,
+                input,
+                &mut out,
+                ConnectionOptions::default(),
+                &control2,
+            )
+            .unwrap();
+            String::from_utf8(out).unwrap()
+        });
         let lines: Vec<&str> = out.lines().collect();
-        // the request before shutdown is answered, the ack follows, and
+        // the requests before shutdown are answered, the ack follows, and
         // the line after shutdown is never read
-        assert_eq!(lines, vec!["1", DRAIN_ACK], "{out}");
+        assert_eq!(lines, vec!["1", "-1", DRAIN_ACK], "{out}");
         assert!(control.is_draining());
         assert!(e.is_draining());
         // a later stream on the same engine sheds with shutting_down
@@ -594,6 +690,34 @@ mod tests {
         serve_connection(&e, input, &mut out, ConnectionOptions::default(), &control).unwrap();
         let out = String::from_utf8(out).unwrap();
         assert_eq!(out.trim(), format!("{{\"error\":\"{ERR_SHUTTING_DOWN}\"}}"));
+        e.shutdown();
+    }
+
+    #[test]
+    fn burst_longer_than_the_pipeline_is_answered_in_full() {
+        // every line of the burst defers its wake, and max_batch exceeds
+        // PIPELINE_DEPTH: the reader fills the pipeline long before the
+        // queue reaches a batch, so it must wake the engine before it
+        // blocks on the full pipeline
+        let e = Arc::new(Engine::new(
+            ServeModel::from_text(BINARY).unwrap(),
+            EngineConfig {
+                max_batch: 4096,
+                queue_watermark: 0,
+                ..EngineConfig::default()
+            },
+            Arc::new(SystemClock::new()),
+            None,
+        ));
+        const { assert!(4096 > PIPELINE_DEPTH) };
+        let e2 = Arc::clone(&e);
+        let out = within(move || {
+            let mut out = Vec::new();
+            serve_lines(&e2, Cursor::new("1:3\n".repeat(5_000)), &mut out).unwrap();
+            String::from_utf8(out).unwrap()
+        });
+        assert_eq!(out.lines().count(), 5_000);
+        assert!(out.lines().all(|l| l == "1"), "{out}");
         e.shutdown();
     }
 }

@@ -327,7 +327,6 @@ mod tests {
             ServeModel::from_text(BINARY).unwrap(),
             EngineConfig {
                 max_batch: 1,
-                max_wait_us: 0,
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),

@@ -136,7 +136,6 @@ fn engine() -> Engine {
         ServeModel::from_text(MODEL).unwrap(),
         EngineConfig {
             max_batch: 1,
-            max_wait_us: 0,
             ..EngineConfig::default()
         },
         Arc::new(SystemClock::new()),

@@ -1,8 +1,8 @@
 //! Overload-robustness harness for the serving stack.
 //!
 //! Two groups. The **deterministic** group runs the engine on a
-//! [`ManualClock`] and pins the admission/deadline/drain semantics with
-//! zero sleeps: watermark sheds answer `overloaded`, expired requests
+//! [`ManualClock`] with a gate that holds the batch worker, and pins the
+//! admission/deadline/drain semantics with zero sleeps: watermark sheds answer `overloaded`, expired requests
 //! answer `deadline_exceeded` without spending a batch slot, a draining
 //! engine answers `shutting_down` while in-flight requests finish. The
 //! **chaos** group drives a real TCP server with seeded adversarial
@@ -15,12 +15,12 @@
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use plssvm_core::trace::Telemetry;
 use plssvm_serve::{
-    serve_lines, serve_tcp, ConnectionOptions, Engine, EngineConfig, ManualClock, Pending,
+    serve_lines, serve_tcp, Clock, ConnectionOptions, Engine, EngineConfig, ManualClock, Pending,
     ServeModel, ServerControl, SystemClock, DRAIN_ACK, ERR_CLIENT_TIMEOUT_LINE,
     ERR_LINE_TOO_LONG_LINE, ERR_REFUSED_LINE,
 };
@@ -28,8 +28,58 @@ use plssvm_serve::{
 /// f(x) = x1 - x2 on two features.
 const MODEL: &str = "svm_type c_svc\nkernel_type linear\nnr_class 2\ntotal_sv 2\nrho 0\nlabel 1 -1\nnr_sv 1 1\nSV\n1 1:1\n-1 2:1\n";
 
-fn manual_engine(config: EngineConfig, telemetry: &Arc<Telemetry>) -> (Engine, Arc<ManualClock>) {
-    let clock = Arc::new(ManualClock::new());
+/// A [`ManualClock`] that can also hold the engine's batch worker. The
+/// worker samples [`Clock::wake_count`] at the top of every loop, before
+/// it takes from the queue, and blocks there while the gate is closed;
+/// nothing else calls `wake_count`, so submitters are never held.
+#[derive(Default)]
+struct GatedClock {
+    manual: ManualClock,
+    closed: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl GatedClock {
+    /// Holds the worker at its next take.
+    fn close(&self) {
+        *self.closed.lock().unwrap() = true;
+    }
+
+    /// Lets the worker take what queued meanwhile.
+    fn open(&self) {
+        *self.closed.lock().unwrap() = false;
+        self.cv.notify_all();
+    }
+}
+
+impl Clock for GatedClock {
+    fn now_us(&self) -> u64 {
+        self.manual.now_us()
+    }
+
+    fn wake_count(&self) -> u64 {
+        let mut closed = self.closed.lock().unwrap();
+        while *closed {
+            closed = self.cv.wait(closed).unwrap();
+        }
+        drop(closed);
+        self.manual.wake_count()
+    }
+
+    fn wake(&self) {
+        self.manual.wake();
+    }
+
+    fn wait_until(&self, seen: u64, deadline_us: Option<u64>) {
+        self.manual.wait_until(seen, deadline_us);
+    }
+}
+
+/// An engine on a [`GatedClock`] whose worker starts held: every request
+/// submitted before `open` queues, and time moves only on `advance`.
+fn held_engine(config: EngineConfig, telemetry: &Arc<Telemetry>) -> (Engine, Arc<GatedClock>) {
+    let clock = Arc::new(GatedClock::default());
+    clock.close();
     let engine = Engine::new(
         ServeModel::from_text(MODEL).unwrap(),
         config,
@@ -40,33 +90,33 @@ fn manual_engine(config: EngineConfig, telemetry: &Arc<Telemetry>) -> (Engine, A
 }
 
 // ---------------------------------------------------------------------
-// deterministic group: ManualClock, no sleeps
+// deterministic group: gated ManualClock, no sleeps
 // ---------------------------------------------------------------------
 
 #[test]
 fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
     let telemetry = Telemetry::shared();
-    let (engine, clock) = manual_engine(
+    let (engine, clock) = held_engine(
         EngineConfig {
             max_batch: 100,
-            max_wait_us: 1_000,
             queue_watermark: 4,
             deadline_us: 0,
         },
         &telemetry,
     );
-    // fill the queue to the watermark; nothing flushes (batch far from
-    // full, clock frozen before max_wait)
+    // fill the queue to the watermark; nothing is taken (worker held)
     let queued: Vec<Pending> = (0..4)
         .map(|i| {
             engine
-                .handle_line(&format!(r#"{{"id":{i},"features":[3,1]}}"#))
+                .handle_line(&format!(r#"{{"id":{i},"features":[3,1]}}"#), false)
                 .unwrap()
         })
         .collect();
     assert_eq!(engine.queue_depth(), 4);
     // the 5th request hits the watermark: shed, id echoed, counted once
-    let shed = engine.handle_line(r#"{"id":99,"features":[1,0]}"#).unwrap();
+    let shed = engine
+        .handle_line(r#"{"id":99,"features":[1,0]}"#, false)
+        .unwrap();
     assert_eq!(
         engine.resolve(shed),
         r#"{"id":99,"error":"overloaded"}"#,
@@ -77,9 +127,8 @@ fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
         4,
         "a shed request must not occupy a slot"
     );
-    // the admitted requests are unharmed: advance past max_wait, flush
-    clock.wait_for_parked(1);
-    clock.advance(1_001);
+    // the admitted requests are unharmed once the worker is free
+    clock.open();
     for (i, p) in queued.into_iter().enumerate() {
         assert_eq!(
             engine.resolve(p),
@@ -98,32 +147,32 @@ fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
 #[test]
 fn expired_requests_answer_deadline_exceeded_without_spending_a_batch_slot() {
     let telemetry = Telemetry::shared();
-    let (engine, clock) = manual_engine(
+    let (engine, clock) = held_engine(
         EngineConfig {
             max_batch: 2,
-            max_wait_us: 10_000,
             queue_watermark: 0,
             deadline_us: 500,
         },
         &telemetry,
     );
-    // one request ages past its deadline before any batch can form
+    // one request ages past its deadline before the worker is free
     let a = engine
-        .handle_line(r#"{"id":"a","features":[3,1]}"#)
+        .handle_line(r#"{"id":"a","features":[3,1]}"#, false)
         .unwrap();
-    clock.wait_for_parked(1);
-    clock.advance(501); // strictly past enq + deadline → expired
+    clock.manual.advance(501); // strictly past enq + deadline → expired
+    clock.open();
     assert_eq!(
         engine.resolve(a),
         r#"{"id":"a","error":"deadline_exceeded"}"#
     );
-    // a full batch submitted back-to-back flushes immediately and is
-    // served normally — deadlines never slow down live work
+    // a full batch submitted back-to-back to the idle worker is served
+    // as one batch — deadlines never slow down live work
+    clock.manual.wait_for_parked(1);
     let b = engine
-        .handle_line(r#"{"id":"b","features":[3,1]}"#)
+        .handle_line(r#"{"id":"b","features":[3,1]}"#, true)
         .unwrap();
     let c = engine
-        .handle_line(r#"{"id":"c","features":[0,5]}"#)
+        .handle_line(r#"{"id":"c","features":[0,5]}"#, true)
         .unwrap();
     assert_eq!(engine.resolve(b), r#"{"id":"b","label":1,"decision":2.0}"#);
     assert_eq!(
@@ -147,41 +196,45 @@ fn expired_requests_answer_deadline_exceeded_without_spending_a_batch_slot() {
 fn deadline_purge_never_delays_live_requests_behind_expired_ones() {
     // an expired request at the queue head must not drag fresh survivors
     // out with it: the expired prefix is answered and the live request
-    // stays queued on its own schedule
+    // is served in the same take
     let telemetry = Telemetry::shared();
-    let (engine, clock) = manual_engine(
+    let (engine, clock) = held_engine(
         EngineConfig {
             max_batch: 100,
-            max_wait_us: 2_000,
             queue_watermark: 0,
             deadline_us: 1_000,
         },
         &telemetry,
     );
     let old = engine
-        .handle_line(r#"{"id":"old","features":[3,1]}"#)
+        .handle_line(r#"{"id":"old","features":[3,1]}"#, false)
         .unwrap();
-    clock.wait_for_parked(1);
-    clock.advance(900); // old is 900µs in: not yet expired
+    clock.manual.advance(900); // old is 900µs in: not yet expired
     let young = engine
-        .handle_line(r#"{"id":"young","features":[3,1]}"#)
+        .handle_line(r#"{"id":"young","features":[3,1]}"#, false)
         .unwrap();
-    clock.wait_for_parked(1);
-    clock.advance(200); // old: 1100µs > deadline; young: 200µs, live
+    clock.manual.advance(200); // old: 1100µs > deadline; young: 200µs, live
+    clock.open();
     assert_eq!(
         engine.resolve(old),
         r#"{"id":"old","error":"deadline_exceeded"}"#
     );
     assert_eq!(
-        engine.queue_depth(),
-        1,
+        engine.resolve(young),
+        r#"{"id":"young","label":1,"decision":2.0}"#,
         "the live request must survive the purge"
     );
-    clock.wait_for_parked(1);
-    clock.advance(801); // young: 1001µs > deadline → now it expires too
+    // a request held past its own deadline expires too
+    clock.manual.wait_for_parked(1);
+    clock.close();
+    let late = engine
+        .handle_line(r#"{"id":"late","features":[3,1]}"#, false)
+        .unwrap();
+    clock.manual.advance(1_001);
+    clock.open();
     assert_eq!(
-        engine.resolve(young),
-        r#"{"id":"young","error":"deadline_exceeded"}"#
+        engine.resolve(late),
+        r#"{"id":"late","error":"deadline_exceeded"}"#
     );
     engine.shutdown();
     assert_eq!(telemetry.report().serve.shed_deadline, 2);
@@ -190,23 +243,25 @@ fn deadline_purge_never_delays_live_requests_behind_expired_ones() {
 #[test]
 fn draining_engine_finishes_inflight_and_sheds_new_work() {
     let telemetry = Telemetry::shared();
-    let (engine, clock) = manual_engine(
+    let (engine, clock) = held_engine(
         EngineConfig {
             max_batch: 100,
-            max_wait_us: 1_000,
             queue_watermark: 0,
             deadline_us: 0,
         },
         &telemetry,
     );
-    let inflight = engine.handle_line(r#"{"id":1,"features":[3,1]}"#).unwrap();
+    let inflight = engine
+        .handle_line(r#"{"id":1,"features":[3,1]}"#, false)
+        .unwrap();
     engine.set_draining();
     // new work after the drain flip: structured shutting_down, id echoed
-    let shed = engine.handle_line(r#"{"id":2,"features":[3,1]}"#).unwrap();
+    let shed = engine
+        .handle_line(r#"{"id":2,"features":[3,1]}"#, false)
+        .unwrap();
     assert_eq!(engine.resolve(shed), r#"{"id":2,"error":"shutting_down"}"#);
     // the request admitted before the flip still completes with a result
-    clock.wait_for_parked(1);
-    clock.advance(1_001);
+    clock.open();
     assert_eq!(
         engine.resolve(inflight),
         r#"{"id":1,"label":1,"decision":2.0}"#
@@ -240,7 +295,6 @@ fn seeded_overload_stream_gets_exactly_one_reply_per_request() {
         ServeModel::from_text(MODEL).unwrap(),
         EngineConfig {
             max_batch: 4,
-            max_wait_us: 200,
             queue_watermark: 2,
             deadline_us: 0,
         },
@@ -389,7 +443,6 @@ fn connections_past_the_cap_get_one_refusal_line_then_eof() {
     let h = TcpHarness::start(
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         2,
@@ -442,7 +495,6 @@ fn stalled_mid_line_client_gets_client_timeout_and_server_lives_on() {
     let h = TcpHarness::start(
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         4,
@@ -477,7 +529,6 @@ fn byte_at_a_time_client_is_served_and_mid_line_disconnect_never_wedges() {
     let h = TcpHarness::start(
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         4,
@@ -526,7 +577,6 @@ fn shutdown_control_line_acks_drains_and_serve_tcp_returns() {
     let mut h = TcpHarness::start(
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         4,
@@ -555,7 +605,6 @@ fn open_loop_load_far_above_capacity_answers_every_request_exactly_once() {
     let h = TcpHarness::start(
         EngineConfig {
             max_batch: 4,
-            max_wait_us: 500,
             queue_watermark: 8,
             deadline_us: 2_000,
         },
@@ -649,7 +698,6 @@ fn binary_garbage_and_oversized_lines_get_structured_errors_not_drops() {
     let h = TcpHarness::start(
         EngineConfig {
             max_batch: 8,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         4,

@@ -43,7 +43,6 @@ fn engine_from(model: &str) -> Engine {
         ServeModel::from_text(model).unwrap(),
         EngineConfig {
             max_batch: 4,
-            max_wait_us: 200,
             ..EngineConfig::default()
         },
         Arc::new(SystemClock::new()),
@@ -161,7 +160,6 @@ fn reload_failure_storm_engages_breaker_and_recovers() {
         ServeModel::from_text(MODEL_A).unwrap(),
         EngineConfig {
             max_batch: 1,
-            max_wait_us: 0,
             ..EngineConfig::default()
         },
         clock.clone(),

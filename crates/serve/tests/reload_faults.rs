@@ -36,7 +36,6 @@ fn engine_on(clock: Arc<ManualClock>, telemetry: Arc<Telemetry>) -> Engine {
         ServeModel::from_text(MODEL_A).unwrap(),
         EngineConfig {
             max_batch: 1,
-            max_wait_us: 0,
             ..EngineConfig::default()
         },
         clock,
