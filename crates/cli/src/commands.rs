@@ -10,9 +10,9 @@ use plssvm_core::cg::SolveOutcome;
 use plssvm_core::multiclass::{
     train_multiclass_with_outcomes, MultiClassModel, MultiClassStrategy,
 };
-use plssvm_core::regression::{mean_squared_error, predict_values, r_squared, LsSvr};
+use plssvm_core::regression::{mean_squared_error, predict_values, r_squared};
 use plssvm_core::simd::FORCE_ISA_ENV;
-use plssvm_core::svm::{accuracy, predict_labels, LsSvm};
+use plssvm_core::svm::{accuracy, predict_labels, LsSvm, TrainOutput};
 use plssvm_core::trace::{MetricsSink, RecoveryKind, Telemetry, TelemetryReport};
 use plssvm_core::validation::cross_validate;
 use plssvm_core::SvmError;
@@ -28,7 +28,7 @@ use plssvm_data::sat6::{generate_sat6, Sat6Config};
 use plssvm_data::scale::ScalingParams;
 use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 use plssvm_data::vfs::Vfs;
-use plssvm_data::{write_atomic, CheckpointJournal, FaultVfs, RealVfs};
+use plssvm_data::{write_atomic, CheckpointJournal, DataError, FaultVfs, RealVfs};
 
 use plssvm_serve::{
     serve_lines, serve_tcp, spawn_watcher, ConnectionOptions, Engine, EngineConfig, PollTrigger,
@@ -269,6 +269,102 @@ pub fn run_train(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     }
 }
 
+/// Refuses a flag that `mode` would otherwise silently ignore.
+fn refuse(given: bool, flag: &str, mode: &str) -> Result<(), Box<dyn Error>> {
+    if given {
+        return Err(format!("{flag} does not apply to {mode}").into());
+    }
+    Ok(())
+}
+
+/// The one `TrainArgs → LsSvm` mapping that every LS-SVM and LS-SVR mode
+/// of `svm-train` trains with: kernel, cost, ε, solver, backend, fault
+/// plan, checkpointing and the telemetry sink.
+fn lssvm_trainer(
+    args: &TrainArgs,
+    features: usize,
+    vfs: &Arc<dyn Vfs>,
+    telemetry: Option<Arc<Telemetry>>,
+) -> Result<LsSvm<f64>, Box<dyn Error>> {
+    let mut trainer = LsSvm::new()
+        .with_kernel(kernel_from_args(args, features))
+        .with_cost(args.cost)
+        .with_epsilon(args.epsilon)
+        .with_solver(args.solver)
+        .with_backend(args.backend.clone());
+    trainer.fault_plan = args.fault_plan.clone();
+    trainer.checkpoint_interval = args.checkpoint_every;
+    trainer.metrics = telemetry;
+    if let Some((journal, salt)) = journal_for(args, vfs)? {
+        trainer = trainer
+            .with_checkpoint_journal(journal)
+            .with_checkpoint_salt(salt)
+            .with_resume(args.resume);
+    }
+    Ok(trainer)
+}
+
+/// Accepts a finished LS-SVM/LS-SVR run: the `--on-nonconverged` and
+/// `--on-io-degraded` policies may refuse the model before `save` writes
+/// it. Returns the summary: policy warnings, then (unless `-q`) `header`
+/// and the solve report, the telemetry, and `quality` of the model.
+fn finish_lssvm<M>(
+    args: &TrainArgs,
+    vfs: &dyn Vfs,
+    trainer: &LsSvm<f64>,
+    out: &TrainOutput<f64, M>,
+    header: String,
+    save: impl Fn(&M, &dyn Vfs, &std::path::Path) -> Result<(), DataError>,
+    quality: impl FnOnce(&M) -> String,
+) -> Result<String, Box<dyn Error>> {
+    // --on-nonconverged error refuses the model before it is written
+    let warning = apply_nonconverged_policy(
+        args.on_nonconverged,
+        out.outcome,
+        out.relative_residual,
+        out.iterations,
+    )?;
+    // ... and so does --on-io-degraded error when the journal died
+    let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
+    write_final(
+        trainer.metrics.as_deref().map(|t| t as &dyn MetricsSink),
+        "model write",
+        || save(&out.model, vfs, std::path::Path::new(&args.model)),
+    )?;
+    let mut summary = warning.unwrap_or_default();
+    summary.push_str(&degraded.unwrap_or_default());
+    if !args.quiet {
+        summary.push_str(&header);
+        summary.push_str(&format!("backend: {}\n", out.backend_name));
+        if let Some(solver) = args.solver.provenance() {
+            summary.push_str(&format!("solver: {solver}\n"));
+        }
+        summary.push_str(&format!(
+            "CG iterations: {} (converged: {}, relative residual {:.3e})\n",
+            out.iterations, out.converged, out.relative_residual
+        ));
+        summary.push_str(&format!("solver outcome: {}\n", out.outcome));
+        if let Some(ladder) = escalation_summary(&out.escalations) {
+            summary.push_str(&format!("recovery escalations: {ladder}\n"));
+        }
+        summary.push_str(&format!("timings: {}\n", out.times));
+        if let Some(device) = &out.device {
+            summary.push_str(&format!(
+                "simulated device time: {:.3} s, peak memory/device: {:.3} GiB\n",
+                device.sim_parallel_time_s,
+                device.peak_memory_per_device_bytes as f64 / (1u64 << 30) as f64
+            ));
+        }
+    }
+    if let Some(report) = &out.telemetry {
+        emit_telemetry(args, vfs, report, &mut summary)?;
+    }
+    if !args.quiet {
+        summary.push_str(&quality(&out.model));
+    }
+    Ok(summary)
+}
+
 fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     // -s 3: regression (LS-SVR)
     if args.svm_type == 3 {
@@ -283,23 +379,18 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
         }
     }
     let data = read_classification(&args.input)?;
-    let kernel = kernel_from_args(args, data.features());
     let vfs = vfs_for(args);
-    let mut summary = String::new();
 
     // -v k: cross validation instead of model training (LIBSVM behaviour)
     if let Some(folds) = args.cv_folds {
         if args.algorithm != Algorithm::LsSvm {
             return Err("cross validation is implemented for the lssvm algorithm".into());
         }
-        if args.checkpoint_dir.is_some() {
-            return Err("--checkpoint-dir does not apply to cross validation".into());
-        }
-        let trainer = LsSvm::new()
-            .with_kernel(kernel)
-            .with_cost(args.cost)
-            .with_epsilon(args.epsilon)
-            .with_backend(args.backend.clone());
+        let mode = "cross validation";
+        refuse(args.checkpoint_dir.is_some(), "--checkpoint-dir", mode)?;
+        refuse(!args.label_weights.is_empty(), "-wi", mode)?;
+        refuse(args.metrics_out.is_some(), "--metrics-out", mode)?;
+        let trainer = lssvm_trainer(args, data.features(), &vfs, None)?;
         let cv = cross_validate(&data, &trainer, folds, 42)?;
         return Ok(format!(
             "Cross Validation Accuracy = {:.4}% ({folds}-fold)\n",
@@ -313,242 +404,127 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     if args.checkpoint_dir.is_some() && args.algorithm != Algorithm::LsSvm {
         return Err("--checkpoint-dir is implemented for the lssvm algorithm".into());
     }
-    match args.algorithm {
-        Algorithm::LsSvm => {
-            let mut trainer = LsSvm::new()
-                .with_kernel(kernel)
-                .with_cost(args.cost)
-                .with_epsilon(args.epsilon)
-                .with_solver(args.solver)
-                .with_backend(args.backend.clone());
-            if let Some(plan) = &args.fault_plan {
-                trainer = trainer.with_fault_plan(plan.clone());
-            }
-            if let Some(k) = args.checkpoint_every {
-                trainer = trainer.with_checkpoint_interval(k);
-            }
-            if let Some((journal, salt)) = journal_for(args, &vfs)? {
-                trainer = trainer
-                    .with_checkpoint_journal(journal)
-                    .with_checkpoint_salt(salt)
-                    .with_resume(args.resume);
-            }
-            if !args.label_weights.is_empty() {
-                // -wi: class weights become per-sample weights of the
-                // weighted LS-SVM (the error term of sample i is C·wᵢ)
-                let weights: Vec<f64> = (0..data.points())
-                    .map(|i| args.weight_of(data.original_label(data.y[i])))
-                    .collect();
-                trainer = trainer.with_sample_weights(weights);
-            }
-            let telemetry = telemetry_for(args);
-            if let Some(t) = &telemetry {
-                trainer = trainer.with_metrics(Arc::clone(t));
-            }
-            let out = if is_arff(&args.input) {
-                trainer.train(&data)?
-            } else {
-                trainer.train_from_file(&args.input, None)?
-            };
-            // --on-nonconverged error refuses the model before it is written
-            let warning = apply_nonconverged_policy(
-                args.on_nonconverged,
-                out.outcome,
-                out.relative_residual,
-                out.iterations,
-            )?;
-            // ... and so does --on-io-degraded error when the journal died
-            let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
-            write_final(
-                telemetry.as_deref().map(|t| t as &dyn MetricsSink),
-                "model write",
-                || {
-                    out.model
-                        .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-                },
-            )?;
-            if let Some(w) = warning {
-                summary.push_str(&w);
-            }
-            if let Some(w) = degraded {
-                summary.push_str(&w);
-            }
-            if !args.quiet {
-                summary.push_str(&format!(
-                    "PLSSVM (LS-SVM) trained on {} points x {} features\n",
-                    data.points(),
-                    data.features()
-                ));
-                summary.push_str(&format!("backend: {}\n", out.backend_name));
-                if let Some(solver) = args.solver.provenance() {
-                    summary.push_str(&format!("solver: {solver}\n"));
-                }
-                summary.push_str(&format!(
-                    "CG iterations: {} (converged: {}, relative residual {:.3e})\n",
-                    out.iterations, out.converged, out.relative_residual
-                ));
-                summary.push_str(&format!("solver outcome: {}\n", out.outcome));
-                if let Some(ladder) = escalation_summary(&out.escalations) {
-                    summary.push_str(&format!("recovery escalations: {ladder}\n"));
-                }
-                summary.push_str(&format!("timings: {}\n", out.times));
-                if let Some(device) = &out.device {
-                    summary.push_str(&format!(
-                        "simulated device time: {:.3} s, peak memory/device: {:.3} GiB\n",
-                        device.sim_parallel_time_s,
-                        device.peak_memory_per_device_bytes as f64 / (1u64 << 30) as f64
-                    ));
-                }
-            }
-            if let Some(report) = &out.telemetry {
-                emit_telemetry(args, vfs.as_ref(), report, &mut summary)?;
-            }
-            if !args.quiet {
-                summary.push_str(&format!(
+    if args.algorithm == Algorithm::LsSvm {
+        let mut trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
+        if !args.label_weights.is_empty() {
+            // -wi: class weights become per-sample weights of the
+            // weighted LS-SVM (the error term of sample i is C·wᵢ)
+            let weights: Vec<f64> = (0..data.points())
+                .map(|i| args.weight_of(data.original_label(data.y[i])))
+                .collect();
+            trainer = trainer.with_sample_weights(weights);
+        }
+        let out = if is_arff(&args.input) {
+            trainer.train(&data)?
+        } else {
+            trainer.train_from_file(&args.input, None)?
+        };
+        return finish_lssvm(
+            args,
+            vfs.as_ref(),
+            &trainer,
+            &out,
+            format!(
+                "PLSSVM (LS-SVM) trained on {} points x {} features\n",
+                data.points(),
+                data.features()
+            ),
+            SvmModel::save_with,
+            |model| {
+                format!(
                     "training accuracy: {:.2}%\n",
-                    100.0 * accuracy(&out.model, &data)
-                ));
-            }
-        }
-        Algorithm::Smo | Algorithm::SmoDense => {
-            let config = plssvm_smo::SmoConfig {
-                kernel,
-                cost: args.cost,
-                epsilon: args.epsilon,
-                shrinking: args.shrinking,
-                cache_bytes: args.cache_mb << 20,
-                class_weights: [
-                    args.weight_of(data.label_map[0]),
-                    args.weight_of(data.label_map[1]),
-                ],
-                ..Default::default()
-            };
-            let out = if args.algorithm == Algorithm::Smo {
-                plssvm_smo::solver::train_sparse(&data, &config)?
-            } else {
-                plssvm_smo::solver::train_dense(&data, &config)?
-            };
-            write_final(None, "model write", || {
-                out.model
-                    .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-            })?;
-            summary.push_str(&format!(
-                "SMO ({}) trained: {} iterations, {} SVs, obj {:.6}\n",
-                if args.algorithm == Algorithm::Smo {
-                    "sparse"
-                } else {
-                    "dense"
-                },
-                out.iterations,
-                out.model.total_sv(),
-                out.objective
-            ));
-            summary.push_str(&format!(
-                "training accuracy: {:.2}%\n",
-                100.0 * accuracy(&out.model, &data)
-            ));
-        }
-        Algorithm::Thunder => {
-            let config = plssvm_smo::ThunderConfig {
-                kernel,
-                cost: args.cost,
-                epsilon: args.epsilon,
-                ..Default::default()
-            };
-            let out = plssvm_smo::ThunderSolver::new(config)?.train(&data)?;
-            write_final(None, "model write", || {
-                out.model
-                    .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-            })?;
-            summary.push_str(&format!(
-                "ThunderSVM-style trained: {} outer / {} inner iterations, {} SVs\n",
-                out.outer_iterations,
-                out.inner_iterations,
-                out.model.total_sv()
-            ));
-            summary.push_str(&format!(
-                "training accuracy: {:.2}%\n",
-                100.0 * accuracy(&out.model, &data)
-            ));
-        }
+                    100.0 * accuracy(model, &data)
+                )
+            },
+        );
     }
-    Ok(summary)
+    // the SMO baselines
+    let kernel = kernel_from_args(args, data.features());
+    let (model, header) = if args.algorithm == Algorithm::Thunder {
+        let config = plssvm_smo::ThunderConfig {
+            kernel,
+            cost: args.cost,
+            epsilon: args.epsilon,
+            ..Default::default()
+        };
+        let out = plssvm_smo::ThunderSolver::new(config)?.train(&data)?;
+        let header = format!(
+            "ThunderSVM-style trained: {} outer / {} inner iterations, {} SVs\n",
+            out.outer_iterations,
+            out.inner_iterations,
+            out.model.total_sv()
+        );
+        (out.model, header)
+    } else {
+        let config = plssvm_smo::SmoConfig {
+            kernel,
+            cost: args.cost,
+            epsilon: args.epsilon,
+            shrinking: args.shrinking,
+            cache_bytes: args.cache_mb << 20,
+            class_weights: [
+                args.weight_of(data.label_map[0]),
+                args.weight_of(data.label_map[1]),
+            ],
+            ..Default::default()
+        };
+        let sparse = args.algorithm == Algorithm::Smo;
+        let out = if sparse {
+            plssvm_smo::solver::train_sparse(&data, &config)?
+        } else {
+            plssvm_smo::solver::train_dense(&data, &config)?
+        };
+        let header = format!(
+            "SMO ({}) trained: {} iterations, {} SVs, obj {:.6}\n",
+            if sparse { "sparse" } else { "dense" },
+            out.iterations,
+            out.model.total_sv(),
+            out.objective
+        );
+        (out.model, header)
+    };
+    write_final(None, "model write", || {
+        model.save_with(vfs.as_ref(), std::path::Path::new(&args.model))
+    })?;
+    if args.quiet {
+        return Ok(String::new());
+    }
+    Ok(format!(
+        "{header}training accuracy: {:.2}%\n",
+        100.0 * accuracy(&model, &data)
+    ))
 }
 
 fn run_train_regression(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     if args.algorithm != Algorithm::LsSvm {
         return Err("regression is implemented for the lssvm algorithm (LS-SVR)".into());
     }
+    let mode = "regression (-s 3)";
+    refuse(args.cv_folds.is_some(), "-v", mode)?;
+    refuse(!args.label_weights.is_empty(), "-wi", mode)?;
     let data: RegressionData<f64> = read_libsvm_regression_file(&args.input, None)?;
-    let kernel = kernel_from_args(args, data.features());
     let vfs = vfs_for(args);
-    let mut trainer = LsSvr::new()
-        .with_kernel(kernel)
-        .with_cost(args.cost)
-        .with_epsilon(args.epsilon)
-        .with_solver(args.solver)
-        .with_backend(args.backend.clone());
-    if let Some(plan) = &args.fault_plan {
-        trainer = trainer.with_fault_plan(plan.clone());
-    }
-    if let Some(k) = args.checkpoint_every {
-        trainer = trainer.with_checkpoint_interval(k);
-    }
-    if let Some((journal, salt)) = journal_for(args, &vfs)? {
-        trainer = trainer
-            .with_checkpoint_journal(journal)
-            .with_checkpoint_salt(salt)
-            .with_resume(args.resume);
-    }
-    let telemetry = telemetry_for(args);
-    if let Some(t) = &telemetry {
-        trainer = trainer.with_metrics(Arc::clone(t));
-    }
-    let out = trainer.train(&data)?;
-    let warning = apply_nonconverged_policy(
-        args.on_nonconverged,
-        out.outcome,
-        out.relative_residual,
-        out.iterations,
-    )?;
-    let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
-    write_final(
-        telemetry.as_deref().map(|t| t as &dyn MetricsSink),
-        "model write",
-        || {
-            out.model
-                .save_with(vfs.as_ref(), std::path::Path::new(&args.model))
-        },
-    )?;
-    let mut summary = String::new();
-    if let Some(w) = warning {
-        summary.push_str(&w);
-    }
-    if let Some(w) = degraded {
-        summary.push_str(&w);
-    }
-    if !args.quiet {
-        summary.push_str(&format!(
-            "LS-SVR trained on {} points x {} features\nCG iterations: {} (converged: {})\ntraining MSE: {:.6e}, R^2: {:.4}\n",
+    let trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
+    let out = trainer.train_regression(&data)?;
+    finish_lssvm(
+        args,
+        vfs.as_ref(),
+        &trainer,
+        &out,
+        format!(
+            "LS-SVR trained on {} points x {} features\n",
             data.points(),
-            data.features(),
-            out.iterations,
-            out.converged,
-            mean_squared_error(&out.model, &data),
-            r_squared(&out.model, &data),
-        ));
-        summary.push_str(&format!("solver outcome: {}\n", out.outcome));
-        if let Some(solver) = args.solver.provenance() {
-            summary.push_str(&format!("solver: {solver}\n"));
-        }
-        if let Some(ladder) = escalation_summary(&out.escalations) {
-            summary.push_str(&format!("recovery escalations: {ladder}\n"));
-        }
-    }
-    if let Some(report) = &out.telemetry {
-        emit_telemetry(args, vfs.as_ref(), report, &mut summary)?;
-    }
-    Ok(summary)
+            data.features()
+        ),
+        SvrModel::save_with,
+        |model| {
+            format!(
+                "training MSE: {:.6e}, R^2: {:.4}\n",
+                mean_squared_error(model, &data),
+                r_squared(model, &data)
+            )
+        },
+    )
 }
 
 fn run_train_multiclass(
@@ -565,25 +541,13 @@ fn run_train_multiclass(
     if args.cv_folds.is_some() {
         return Err("cross validation currently supports binary problems only".into());
     }
-    let kernel = kernel_from_args(args, data.features());
+    let mode = "multi-class input";
+    refuse(!args.label_weights.is_empty(), "-wi", mode)?;
+    refuse(args.metrics_out.is_some(), "--metrics-out", mode)?;
     let vfs = vfs_for(args);
-    let mut trainer = LsSvm::new()
-        .with_kernel(kernel)
-        .with_cost(args.cost)
-        .with_epsilon(args.epsilon)
-        .with_solver(args.solver)
-        .with_backend(args.backend.clone());
-    if let Some(k) = args.checkpoint_every {
-        trainer = trainer.with_checkpoint_interval(k);
-    }
     // each binary subproblem checkpoints into its own task-<k>/
     // sub-journal (handled by the multiclass driver)
-    if let Some((journal, salt)) = journal_for(args, &vfs)? {
-        trainer = trainer
-            .with_checkpoint_journal(journal)
-            .with_checkpoint_salt(salt)
-            .with_resume(args.resume);
-    }
+    let trainer = lssvm_trainer(args, data.features(), &vfs, None)?;
     let strategy = match args.multiclass {
         McStrategy::Ovo => MultiClassStrategy::OneVsOne,
         McStrategy::Ovr => MultiClassStrategy::OneVsRest,
@@ -623,16 +587,16 @@ fn run_train_multiclass(
         model.save_with(vfs.as_ref(), std::path::Path::new(&args.model))
     })?;
     let mut summary = warning.unwrap_or_default();
-    if let Some(w) = degraded {
-        summary.push_str(&w);
+    summary.push_str(&degraded.unwrap_or_default());
+    if !args.quiet {
+        summary.push_str(&format!(
+            "multi-class LS-SVM ({}) trained: {} classes, {} binary models\ntraining accuracy: {:.2}%\n",
+            strategy.name(),
+            model.classes.len(),
+            model.num_models(),
+            100.0 * model.accuracy(data),
+        ));
     }
-    summary.push_str(&format!(
-        "multi-class LS-SVM ({}) trained: {} classes, {} binary models\ntraining accuracy: {:.2}%\n",
-        strategy.name(),
-        model.classes.len(),
-        model.num_models(),
-        100.0 * model.accuracy(data),
-    ));
     Ok(summary)
 }
 
@@ -2210,5 +2174,159 @@ mod tests {
         assert!(run_predict(&predict).is_err());
         let scale = parse_scale(&sv(&["/no/d.dat"])).unwrap();
         assert!(run_scale(&scale).is_err());
+    }
+
+    /// A 60-point binary LIBSVM file in a fresh test directory.
+    fn binary_file(name: &str) -> std::path::PathBuf {
+        let data = tmpdir(name).join("train.dat");
+        let args = ["--points", "60", "--features", "4", "--seed", "71", "-o"];
+        let mut args = sv(&args);
+        args.push(data.to_str().unwrap().to_owned());
+        run_generate(&parse_generate(&args).unwrap()).unwrap();
+        data
+    }
+
+    /// A 45-point 3-class LIBSVM file in a fresh test directory.
+    fn multiclass_file(name: &str) -> std::path::PathBuf {
+        let data = tmpdir(name).join("blobs.dat");
+        let blobs = plssvm_data::synthetic::generate_blobs::<f64>(
+            &plssvm_data::synthetic::BlobsConfig::new(45, 3, 3, 72).with_separation(6.0),
+        )
+        .unwrap();
+        let mut content = String::new();
+        for p in 0..blobs.points() {
+            content.push_str(&blobs.labels[p].to_string());
+            for f in 0..blobs.features() {
+                content.push_str(&format!(" {}:{}", f + 1, blobs.x.get(p, f)));
+            }
+            content.push('\n');
+        }
+        std::fs::write(&data, content).unwrap();
+        data
+    }
+
+    /// Runs `svm-train` expecting an error before anything is written;
+    /// returns the message.
+    fn train_error(data: &std::path::Path, flags: &[&str]) -> String {
+        let model = data.with_extension("model");
+        let metrics = data.with_extension("jsonl");
+        std::fs::remove_file(&model).ok();
+        let mut args = sv(flags);
+        args.push(data.to_str().unwrap().to_owned());
+        args.push(model.to_str().unwrap().to_owned());
+        let err = run_train(&parse_train(&args).unwrap()).unwrap_err();
+        assert!(!model.exists(), "{flags:?} wrote a model");
+        assert!(!metrics.exists(), "{flags:?} wrote metrics");
+        err.to_string()
+    }
+
+    #[test]
+    fn class_weights_with_cross_validation_are_rejected() {
+        let data = binary_file("wi_cv");
+        let err = train_error(&data, &["-v", "3", "-w1", "0.001"]);
+        assert!(
+            err.contains("-wi") && err.contains("cross validation"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn class_weights_with_regression_are_rejected() {
+        let data = binary_file("wi_svr");
+        let err = train_error(&data, &["-s", "3", "-w1", "0.001"]);
+        assert!(err.contains("-wi") && err.contains("regression"), "{err}");
+    }
+
+    #[test]
+    fn class_weights_with_multiclass_input_are_rejected() {
+        let data = multiclass_file("wi_mc");
+        let err = train_error(&data, &["-w1", "0.001"]);
+        assert!(err.contains("-wi") && err.contains("multi-class"), "{err}");
+    }
+
+    #[test]
+    fn metrics_out_with_cross_validation_is_rejected() {
+        let data = binary_file("metrics_cv");
+        let metrics = data.with_extension("jsonl");
+        let err = train_error(
+            &data,
+            &["-v", "3", "--metrics-out", metrics.to_str().unwrap()],
+        );
+        assert!(
+            err.contains("--metrics-out") && err.contains("cross validation"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metrics_out_with_multiclass_input_is_rejected() {
+        let data = multiclass_file("metrics_mc");
+        let metrics = data.with_extension("jsonl");
+        let err = train_error(&data, &["--metrics-out", metrics.to_str().unwrap()]);
+        assert!(
+            err.contains("--metrics-out") && err.contains("multi-class"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn cross_validation_with_regression_is_rejected() {
+        let data = binary_file("cv_svr");
+        let err = train_error(&data, &["-s", "3", "-v", "3"]);
+        assert!(err.contains("-v") && err.contains("regression"), "{err}");
+    }
+
+    #[test]
+    fn cross_validation_honours_the_solver() {
+        let path = binary_file("cv_solver");
+        let args = sv(&["-v", "3", "--solver", "lowrank", "--rank", "4"]);
+        let mut args = args;
+        args.push(path.to_str().unwrap().to_owned());
+        let msg = run_train(&parse_train(&args).unwrap()).unwrap();
+        let data = read_libsvm_file::<f64>(&path, None).unwrap();
+        let trainer = LsSvm::new()
+            .with_kernel(plssvm_data::model::KernelSpec::Linear)
+            .with_solver(plssvm_core::lowrank::SolverSelection::lowrank(4));
+        let cv = cross_validate(&data, &trainer, 3, 42).unwrap();
+        let expected = format!(
+            "Cross Validation Accuracy = {:.4}% (3-fold)\n",
+            100.0 * cv.accuracy
+        );
+        assert_eq!(msg, expected);
+    }
+
+    #[test]
+    fn fault_plan_reaches_cross_validation_and_multiclass() {
+        // a plan that stops the only device fails every mode that
+        // installs it; a mode that dropped it would train fine
+        let binary = binary_file("fault_cv");
+        let err = train_error(
+            &binary,
+            &["-v", "3", "-b", "cuda", "--fault-plan", "fail:0@1"],
+        );
+        assert!(err.contains("no survivor"), "{err}");
+        let blobs = multiclass_file("fault_mc");
+        let err = train_error(&blobs, &["-b", "cuda", "--fault-plan", "fail:0@1"]);
+        assert!(err.contains("no survivor"), "{err}");
+        // with a survivor both modes recover
+        let mut args = sv(&["-b", "cuda", "-n", "2", "--fault-plan", "fail:1@3"]);
+        args.push(blobs.to_str().unwrap().to_owned());
+        args.push(blobs.with_extension("model").to_str().unwrap().to_owned());
+        let msg = run_train(&parse_train(&args).unwrap()).unwrap();
+        assert!(msg.contains("3 binary models"), "{msg}");
+    }
+
+    #[test]
+    fn quiet_silences_multiclass_and_smo_training() {
+        let blobs = multiclass_file("quiet_mc");
+        let binary = binary_file("quiet_smo");
+        for (data, flags) in [(&blobs, &["-q"][..]), (&binary, &["-q", "-a", "smo"][..])] {
+            let model = data.with_extension("model");
+            let mut args = sv(flags);
+            args.push(data.to_str().unwrap().to_owned());
+            args.push(model.to_str().unwrap().to_owned());
+            assert_eq!(run_train(&parse_train(&args).unwrap()).unwrap(), "");
+            assert!(model.exists());
+        }
     }
 }

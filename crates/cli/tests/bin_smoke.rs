@@ -169,6 +169,43 @@ fn fault_injected_training_through_the_binary() {
     assert!(stderr.contains("fault"), "{stderr}");
 }
 
+#[test]
+fn a_fault_plan_that_stops_every_device_exits_1_not_101() {
+    let dir = tmpdir("fault_all");
+    let data = dir.join("train.dat");
+    let model = dir.join("train.model");
+    let (ok, _, stderr) = run(
+        "generate-data",
+        &[
+            "--points",
+            "40",
+            "--features",
+            "4",
+            "--seed",
+            "23",
+            "-o",
+            data.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "{stderr}");
+    let out = Command::new(env!("CARGO_BIN_EXE_svm-train"))
+        .args([
+            "--backend",
+            "cuda",
+            "--fault-plan",
+            "fail:0@1",
+            data.to_str().unwrap(),
+            model.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no survivor"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!model.exists());
+}
+
 /// Like [`run`], with extra environment variables set for the child —
 /// the only race-free way to test `PLSSVM_FORCE_ISA` (mutating the
 /// parent's environment would leak across parallel tests).

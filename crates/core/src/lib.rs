@@ -58,7 +58,7 @@ pub mod prelude {
         MultiClassTrainOutput,
     };
     pub use crate::regression::{
-        mean_squared_error, predict_values, r_squared, try_predict_values, LsSvr,
+        mean_squared_error, predict_values, r_squared, try_predict_values,
     };
     pub use crate::simd::Isa;
     pub use crate::svm::{

@@ -347,52 +347,41 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
             "multi-class training needs at least two classes".into(),
         ));
     }
+    // one binary subproblem per key, in container order: `(a, b)` pairs
+    // for one-vs-one, `(c, i32::MIN)` for one-vs-rest
+    let classes = &data.classes;
+    let keys: Vec<(i32, i32)> = match strategy {
+        MultiClassStrategy::OneVsOne => (0..classes.len())
+            .flat_map(|i| (i + 1..classes.len()).map(move |j| (classes[i], classes[j])))
+            .collect(),
+        MultiClassStrategy::OneVsRest => classes.iter().map(|&c| (c, i32::MIN)).collect(),
+    };
     let mut models = Vec::new();
     let mut outcomes = Vec::new();
     let mut total_iterations = 0;
     let mut io_degraded = false;
-    // with a durable journal attached, each binary subproblem checkpoints
-    // into its own `task-<k>/` sub-journal (independent generation
-    // numbering), so a crash resumes exactly the subproblem it interrupted
-    let task_trainer = |task: usize| -> Result<Option<LsSvm<T>>, SvmError> {
-        Ok(match &trainer.checkpoint_journal {
+    for (task, &(a, b)) in keys.iter().enumerate() {
+        let subset = match strategy {
+            MultiClassStrategy::OneVsOne => data.pair_subset(a, b)?,
+            MultiClassStrategy::OneVsRest => data.one_vs_rest(a)?,
+        };
+        // with a durable journal attached, each binary subproblem
+        // checkpoints into its own `task-<k>/` sub-journal (independent
+        // generation numbering), so a crash resumes exactly the
+        // subproblem it interrupted
+        let sub = match &trainer.checkpoint_journal {
             Some(journal) => Some(
                 trainer
                     .clone()
                     .with_checkpoint_journal(journal.for_task(task)?),
             ),
             None => None,
-        })
-    };
-    let mut task = 0usize;
-    match strategy {
-        MultiClassStrategy::OneVsOne => {
-            for i in 0..data.classes.len() {
-                for j in (i + 1)..data.classes.len() {
-                    let (a, b) = (data.classes[i], data.classes[j]);
-                    let subset = data.pair_subset(a, b)?;
-                    let sub = task_trainer(task)?;
-                    task += 1;
-                    let out = sub.as_ref().unwrap_or(trainer).train(&subset)?;
-                    outcomes.push(((a, b), out.outcome));
-                    total_iterations += out.iterations;
-                    io_degraded |= out.io_degraded;
-                    models.push(((a, b), out.model));
-                }
-            }
-        }
-        MultiClassStrategy::OneVsRest => {
-            for &c in &data.classes {
-                let subset = data.one_vs_rest(c)?;
-                let sub = task_trainer(task)?;
-                task += 1;
-                let out = sub.as_ref().unwrap_or(trainer).train(&subset)?;
-                outcomes.push(((c, i32::MIN), out.outcome));
-                total_iterations += out.iterations;
-                io_degraded |= out.io_degraded;
-                models.push(((c, i32::MIN), out.model));
-            }
-        }
+        };
+        let out = sub.as_ref().unwrap_or(trainer).train(&subset)?;
+        outcomes.push(((a, b), out.outcome));
+        total_iterations += out.iterations;
+        io_degraded |= out.io_degraded;
+        models.push(((a, b), out.model));
     }
     Ok(MultiClassTrainOutput {
         model: MultiClassModel {

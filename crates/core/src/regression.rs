@@ -6,412 +6,18 @@
 //! fact that `y ∈ {±1}`, so with real-valued targets the *identical*
 //! reduced system `Q̃·α̃ = ȳ − y_m·1` yields the ridge-regression-in-
 //! feature-space estimator of Saunders et al. (the paper's reference \[33\]).
-//! Every backend, the CG solver and the multi-device split work unchanged;
-//! only the model file and the prediction (no sign function) differ.
+//! Training is therefore [`crate::svm::LsSvm::train_regression`], the
+//! classification pipeline with the result assembled into an [`SvrModel`];
+//! only the model file and the prediction (no sign function) differ, and
+//! they live here.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use plssvm_data::dense::{DenseMatrix, SoAMatrix};
+use plssvm_data::dense::DenseMatrix;
 use plssvm_data::libsvm::RegressionData;
-use plssvm_data::model::{KernelSpec, SvrModel};
+use plssvm_data::model::SvrModel;
 use plssvm_data::Real;
-use plssvm_simgpu::device::AtomicScalar;
 
-use plssvm_data::CheckpointJournal;
-
-use crate::backend::{BackendSelection, CpuTilingConfig, DeviceReport, Prepared};
-use crate::cg::{CgConfig, SolveOutcome};
-use crate::checkpoint::{load_resume_point, ContextFingerprint, JournalSink};
-use crate::error::SvmError;
-use crate::guard::{
-    solve_with_guardrails_checkpointed, GuardedSolve, JacobiDiagonal, RecoveryPolicy,
-    RungCheckpointSink,
-};
-use crate::kernel::kernel_row;
-use crate::lowrank::{solve_lowrank, SolverSelection};
-use crate::matrix_free::{bias, full_alpha, reduced_rhs};
 use crate::simd::Isa;
 use crate::svm::kernel_expansion;
-use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
-
-/// LS-SVR trainer configuration (mirrors [`crate::svm::LsSvm`]).
-///
-/// ```
-/// use plssvm_core::prelude::*;
-/// use plssvm_data::synthetic::{generate_sinc, SincConfig};
-///
-/// let data = generate_sinc::<f64>(&SincConfig::new(100, 7).with_noise(0.0))?;
-/// let out = LsSvr::new()
-///     .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
-///     .with_cost(100.0)
-///     .with_epsilon(1e-8)
-///     .train(&data)?;
-/// assert!(mean_squared_error(&out.model, &data) < 1e-4);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct LsSvr<T> {
-    /// Kernel function (default linear).
-    pub kernel: KernelSpec<T>,
-    /// The regularization constant `C > 0` (LS-SVM's `γ` in Suykens'
-    /// notation).
-    pub cost: T,
-    /// CG relative-residual termination criterion ε.
-    pub epsilon: T,
-    /// Optional CG iteration cap.
-    pub max_iterations: Option<usize>,
-    /// Execution backend.
-    pub backend: BackendSelection,
-    /// Optional cache-tiling override for the blocked CPU matvec engine;
-    /// mirrors [`crate::svm::LsSvm::cpu_tiling`].
-    pub cpu_tiling: Option<CpuTilingConfig>,
-    /// Optional observability sink (see [`crate::trace`]); mirrors
-    /// [`crate::svm::LsSvm::metrics`].
-    pub metrics: Option<Arc<Telemetry>>,
-    /// Optional deterministic fault-injection plan (simulated device
-    /// backends only); mirrors [`crate::svm::LsSvm::fault_plan`].
-    pub fault_plan: Option<plssvm_simgpu::FaultPlan>,
-    /// Snapshot CG state every this many iterations; mirrors
-    /// [`crate::svm::LsSvm::checkpoint_interval`].
-    pub checkpoint_interval: Option<usize>,
-    /// Durable on-disk checkpoint journal; mirrors
-    /// [`crate::svm::LsSvm::checkpoint_journal`].
-    pub checkpoint_journal: Option<CheckpointJournal>,
-    /// Resume from the journal's newest valid generation; mirrors
-    /// [`crate::svm::LsSvm::resume`].
-    pub resume: bool,
-    /// Extra entropy for the checkpoint context fingerprint; mirrors
-    /// [`crate::svm::LsSvm::checkpoint_salt`].
-    pub checkpoint_salt: u64,
-    /// Escalation ladder for non-converged solves; mirrors
-    /// [`crate::svm::LsSvm::recovery_policy`].
-    pub recovery_policy: RecoveryPolicy,
-    /// Which solver runs the reduced system; mirrors
-    /// [`crate::svm::LsSvm::solver`] (including the resume rejection).
-    pub solver: SolverSelection,
-}
-
-impl<T: Real> Default for LsSvr<T> {
-    fn default() -> Self {
-        Self {
-            kernel: KernelSpec::Linear,
-            cost: T::ONE,
-            epsilon: T::from_f64(1e-3),
-            max_iterations: None,
-            backend: BackendSelection::default(),
-            cpu_tiling: None,
-            metrics: None,
-            fault_plan: None,
-            checkpoint_interval: None,
-            checkpoint_journal: None,
-            resume: false,
-            checkpoint_salt: 0,
-            recovery_policy: RecoveryPolicy::default(),
-            solver: SolverSelection::default(),
-        }
-    }
-}
-
-/// Everything a regression training run produces.
-#[derive(Debug)]
-pub struct SvrTrainOutput<T> {
-    /// The trained regression model.
-    pub model: SvrModel<T>,
-    /// CG iterations performed (summed across all escalation rungs).
-    pub iterations: usize,
-    /// Whether CG met the ε criterion.
-    pub converged: bool,
-    /// Why the solve stopped (see [`crate::svm::TrainOutput::outcome`]).
-    pub outcome: SolveOutcome,
-    /// The recovery rungs that engaged, in order (empty on the happy
-    /// path).
-    pub escalations: Vec<RecoveryKind>,
-    /// Final `‖r‖/‖r₀‖`.
-    pub relative_residual: f64,
-    /// Device counters (simulated backends only).
-    pub device: Option<DeviceReport>,
-    /// The unified observability report (`Some` iff a sink was attached
-    /// via [`LsSvr::with_metrics`]).
-    pub telemetry: Option<TelemetryReport>,
-    /// True when persistent storage failures disabled durable
-    /// checkpointing partway through the solve (see
-    /// [`crate::svm::TrainOutput::io_degraded`]).
-    pub io_degraded: bool,
-}
-
-impl<T: AtomicScalar> LsSvr<T> {
-    /// A trainer with all defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects the kernel function.
-    pub fn with_kernel(mut self, kernel: KernelSpec<T>) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Sets the regularization constant `C`.
-    pub fn with_cost(mut self, cost: T) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Sets the CG tolerance ε.
-    pub fn with_epsilon(mut self, epsilon: T) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Selects the execution backend.
-    pub fn with_backend(mut self, backend: BackendSelection) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Overrides the cache tiling of the blocked CPU matvec engine;
-    /// mirrors [`crate::svm::LsSvm::with_cpu_tiling`].
-    pub fn with_cpu_tiling(mut self, tiling: CpuTilingConfig) -> Self {
-        self.cpu_tiling = Some(tiling);
-        self
-    }
-
-    /// Attaches an observability sink; mirrors
-    /// [`crate::svm::LsSvm::with_metrics`].
-    pub fn with_metrics(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.metrics = Some(telemetry);
-        self
-    }
-
-    /// Installs a deterministic device-fault plan for the solve; mirrors
-    /// [`crate::svm::LsSvm::with_fault_plan`].
-    pub fn with_fault_plan(mut self, plan: plssvm_simgpu::FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Snapshots CG state every `iterations` iterations; mirrors
-    /// [`crate::svm::LsSvm::with_checkpoint_interval`].
-    pub fn with_checkpoint_interval(mut self, iterations: usize) -> Self {
-        self.checkpoint_interval = Some(iterations);
-        self
-    }
-
-    /// Streams snapshots into a durable on-disk journal; mirrors
-    /// [`crate::svm::LsSvm::with_checkpoint_journal`].
-    pub fn with_checkpoint_journal(mut self, journal: CheckpointJournal) -> Self {
-        self.checkpoint_journal = Some(journal);
-        self
-    }
-
-    /// Resumes from the journal's newest valid generation; mirrors
-    /// [`crate::svm::LsSvm::with_resume`].
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Folds extra entropy into the checkpoint context fingerprint;
-    /// mirrors [`crate::svm::LsSvm::with_checkpoint_salt`].
-    pub fn with_checkpoint_salt(mut self, salt: u64) -> Self {
-        self.checkpoint_salt = salt;
-        self
-    }
-
-    /// The checkpoint context fingerprint of this invocation (see
-    /// [`crate::svm::LsSvm`]'s equivalent; the `"svr"` tag keeps
-    /// classification and regression journals mutually exclusive).
-    fn checkpoint_context(&self, data: &RegressionData<T>) -> u64 {
-        let mut fp = ContextFingerprint::new()
-            .push_str("svr")
-            .push_kernel(&self.kernel)
-            .push_f64(self.cost.to_f64())
-            .push_u64(T::BYTES as u64)
-            .push_u64(data.points() as u64)
-            .push_u64(data.features() as u64)
-            .push_u64(self.checkpoint_salt);
-        for p in 0..data.points() {
-            for &v in data.x.row(p) {
-                fp = fp.push_f64(v.to_f64());
-            }
-            fp = fp.push_f64(data.y[p].to_f64());
-        }
-        fp.finish()
-    }
-
-    /// Overrides the solver recovery policy; mirrors
-    /// [`crate::svm::LsSvm::with_recovery_policy`].
-    pub fn with_recovery_policy(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery_policy = policy;
-        self
-    }
-
-    /// Selects the solver for the reduced system; mirrors
-    /// [`crate::svm::LsSvm::with_solver`].
-    pub fn with_solver(mut self, solver: SolverSelection) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Trains on a regression data set.
-    pub fn train(&self, data: &RegressionData<T>) -> Result<SvrTrainOutput<T>, SvmError> {
-        let t_total = Instant::now();
-        if data.points() < 2 {
-            return Err(SvmError::Solver(
-                "regression needs at least two data points".into(),
-            ));
-        }
-        if self.resume && matches!(self.solver, SolverSelection::LowRank { .. }) {
-            return Err(SvmError::Solver(
-                "cannot resume a checkpointed run with the low-rank solver: the \
-                 checkpoint journal streams exact-CG state only (drop the resume \
-                 flag or select the exact solver)"
-                    .into(),
-            ));
-        }
-        let mut rec = SpanRecorder::new();
-        // the tiling knob overrides what the OpenMP selection carries
-        let backend = match (&self.backend, self.cpu_tiling) {
-            (BackendSelection::OpenMp { threads, .. }, Some(tiling)) => BackendSelection::OpenMp {
-                threads: *threads,
-                tiling,
-            },
-            _ => self.backend.clone(),
-        };
-        let soa = rec.time(spans::TRANSFORM, || match &backend {
-            BackendSelection::SimGpu { tiling, .. }
-            | BackendSelection::SimGpuRows { tiling, .. }
-            | BackendSelection::SimCluster { tiling, .. } => {
-                Some(SoAMatrix::from_dense(&data.x, tiling.tile()))
-            }
-            _ => None,
-        });
-        let t_cg = Instant::now();
-        let t_setup = Instant::now();
-        let mut prepared = Prepared::new(&backend, &data.x, soa.as_ref(), &self.kernel, self.cost)?;
-        if let Some(sink) = &self.metrics {
-            prepared.set_metrics(Arc::clone(sink) as Arc<dyn MetricsSink>);
-        }
-        if let Some(plan) = &self.fault_plan {
-            prepared.install_fault_plan(plan)?;
-        }
-        let rhs = reduced_rhs(&data.y);
-        rec.record(spans::CG_SETUP, t_setup.elapsed());
-        let cfg = CgConfig {
-            epsilon: self.epsilon,
-            max_iterations: self.max_iterations,
-            checkpoint_interval: self.checkpoint_interval,
-            ..CgConfig::default()
-        };
-        let metrics_ref = self.metrics.as_deref().map(|t| t as &dyn MetricsSink);
-        let t_solve = Instant::now();
-        // diag(Q̃)ᵢ = k(xᵢ,xᵢ) + ridgeᵢ − 2qᵢ + Q_mm — only computed if the
-        // preconditioner rung of the escalation ladder engages
-        let compute_diagonal = || {
-            let params = prepared.params();
-            (0..params.dim())
-                .map(|i| {
-                    kernel_row(&self.kernel, data.x.row(i), data.x.row(i)) + params.ridge(i)
-                        - T::TWO * params.q[i]
-                        + params.q_mm()
-                })
-                .collect::<Vec<T>>()
-        };
-        let mut io_degraded = false;
-        let GuardedSolve {
-            result: solve,
-            total_iterations,
-            escalations,
-        } = match self.solver {
-            SolverSelection::LowRank {
-                rank,
-                seed,
-                strategy,
-            } => solve_lowrank(
-                &prepared,
-                prepared.params(),
-                &data.x,
-                &self.kernel,
-                rank,
-                seed,
-                strategy,
-                &rhs,
-                &cfg,
-                &self.recovery_policy,
-                JacobiDiagonal::Lazy(&compute_diagonal),
-                metrics_ref,
-            )?,
-            SolverSelection::Exact => {
-                let mut resume_point = None;
-                let journal_sink = match &self.checkpoint_journal {
-                    Some(journal) => {
-                        let context = self.checkpoint_context(data);
-                        if self.resume {
-                            resume_point =
-                                load_resume_point::<T>(journal, context, rhs.len(), metrics_ref)?;
-                        }
-                        Some(JournalSink::new(
-                            journal.clone(),
-                            context,
-                            self.metrics
-                                .as_ref()
-                                .map(|t| Arc::clone(t) as Arc<dyn MetricsSink>),
-                        ))
-                    }
-                    None => None,
-                };
-                let guarded = solve_with_guardrails_checkpointed(
-                    &prepared,
-                    &rhs,
-                    &cfg,
-                    &self.recovery_policy,
-                    JacobiDiagonal::Lazy(&compute_diagonal),
-                    metrics_ref,
-                    journal_sink
-                        .as_ref()
-                        .map(|s| s as &dyn RungCheckpointSink<T>),
-                    resume_point.as_ref(),
-                );
-                io_degraded = journal_sink.as_ref().is_some_and(JournalSink::is_degraded);
-                guarded
-            }
-        };
-        rec.record(spans::CG_SOLVE, t_solve.elapsed());
-        rec.record(spans::CG, t_cg.elapsed());
-        let t_write = Instant::now();
-        let b = bias(prepared.params(), &data.y, &solve.x);
-        let alpha = full_alpha(&solve.x);
-        let model = SvrModel {
-            kernel: self.kernel,
-            rho: -b,
-            sv: data.x.clone(),
-            coef: alpha,
-            solver: self.solver.provenance(),
-        };
-        rec.record(spans::WRITE, t_write.elapsed());
-        rec.record(spans::TRAIN, t_total.elapsed());
-        let device = prepared.device_report();
-        let telemetry = self.metrics.as_ref().map(|t| {
-            if let Some(dev) = &device {
-                dev.fold_into(&**t);
-            }
-            rec.flush_into(&**t);
-            t.report()
-        });
-        Ok(SvrTrainOutput {
-            model,
-            iterations: total_iterations,
-            converged: solve.converged,
-            outcome: solve.outcome,
-            escalations,
-            relative_residual: solve.relative_residual().to_f64(),
-            device,
-            telemetry,
-            io_degraded,
-        })
-    }
-}
 
 /// Predicted regression values `f(x) = Σᵢ coefᵢ·k(svᵢ, x) + b` for every
 /// row of `x`, computed by the same query-blocked
@@ -475,15 +81,21 @@ pub fn r_squared<T: Real>(model: &SvrModel<T>, data: &RegressionData<T>) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendSelection;
+    use crate::error::SvmError;
+    use crate::lowrank::SolverSelection;
+    use crate::svm::LsSvm;
+    use plssvm_data::model::KernelSpec;
     use plssvm_data::synthetic::{generate_sinc, SincConfig};
+    use plssvm_data::CheckpointJournal;
     use plssvm_simgpu::{hw, Backend as DeviceApi};
 
     fn sinc(points: usize, noise: f64, seed: u64) -> RegressionData<f64> {
         generate_sinc(&SincConfig::new(points, seed).with_noise(noise)).unwrap()
     }
 
-    fn rbf_svr() -> LsSvr<f64> {
-        LsSvr::new()
+    fn rbf_svr() -> LsSvm<f64> {
+        LsSvm::new()
             .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
             .with_cost(100.0)
             .with_epsilon(1e-8)
@@ -492,7 +104,7 @@ mod tests {
     #[test]
     fn fits_noiseless_sinc_tightly() {
         let data = sinc(200, 0.0, 1);
-        let out = rbf_svr().train(&data).unwrap();
+        let out = rbf_svr().train_regression(&data).unwrap();
         assert!(out.converged);
         let mse = mean_squared_error(&out.model, &data);
         assert!(mse < 1e-5, "mse {mse}");
@@ -503,11 +115,11 @@ mod tests {
     fn generalizes_from_noisy_data() {
         let train = sinc(200, 0.05, 2);
         let test = sinc(100, 0.0, 3); // clean targets measure the true fit
-        let out = LsSvr::new()
+        let out = LsSvm::new()
             .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
             .with_cost(10.0) // moderate C: smooth, doesn't chase noise
             .with_epsilon(1e-8)
-            .train(&train)
+            .train_regression(&train)
             .unwrap();
         let mse = mean_squared_error(&out.model, &test);
         assert!(mse < 0.01, "test mse {mse}");
@@ -527,10 +139,10 @@ mod tests {
             y.push(2.0 * a - 3.0 * b + 1.0);
         }
         let data = RegressionData::new(x, y).unwrap();
-        let out = LsSvr::new()
+        let out = LsSvm::new()
             .with_cost(1e6) // tiny ridge → near-interpolation
             .with_epsilon(1e-12)
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         let mse = mean_squared_error(&out.model, &data);
         assert!(mse < 1e-6, "mse {mse}");
@@ -541,7 +153,7 @@ mod tests {
         let data = sinc(80, 0.02, 4);
         let reference = rbf_svr()
             .with_backend(BackendSelection::Serial)
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         for backend in [
             BackendSelection::openmp(Some(2)),
@@ -550,7 +162,7 @@ mod tests {
         ] {
             let out = rbf_svr()
                 .with_backend(backend.clone())
-                .train(&data)
+                .train_regression(&data)
                 .unwrap();
             assert!(
                 (out.model.rho - reference.model.rho).abs() < 1e-6,
@@ -576,19 +188,19 @@ mod tests {
             }
             RegressionData::new(x, y).unwrap()
         };
-        let single = LsSvr::new()
+        let single = LsSvm::new()
             .with_epsilon(1e-10)
             .with_backend(BackendSelection::sim_gpu(hw::A100, DeviceApi::Cuda))
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
-        let quad = LsSvr::new()
+        let quad = LsSvm::new()
             .with_epsilon(1e-10)
             .with_backend(BackendSelection::sim_multi_gpu(
                 hw::A100,
                 DeviceApi::Cuda,
                 3,
             ))
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         assert!((single.model.rho - quad.model.rho).abs() < 1e-6);
         assert!(quad.device.unwrap().per_device.len() == 3);
@@ -597,7 +209,7 @@ mod tests {
     #[test]
     fn model_file_roundtrip_preserves_predictions() {
         let data = sinc(60, 0.05, 5);
-        let out = rbf_svr().train(&data).unwrap();
+        let out = rbf_svr().train_regression(&data).unwrap();
         let dir = std::env::temp_dir().join("plssvm_svr_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sinc.model");
@@ -616,7 +228,10 @@ mod tests {
         use crate::trace::{spans, Telemetry};
         let data = sinc(80, 0.02, 4);
         let t = Telemetry::shared();
-        let out = rbf_svr().with_metrics(t.clone()).train(&data).unwrap();
+        let out = rbf_svr()
+            .with_metrics(t.clone())
+            .train_regression(&data)
+            .unwrap();
         let report = out.telemetry.expect("telemetry");
         assert_eq!(report.iterations(), out.iterations);
         assert!(report.kernels["svm_kernel"].launches >= out.iterations as u64);
@@ -630,11 +245,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("plssvm_svr_journal_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let journal = CheckpointJournal::open(&dir, 3).unwrap();
-        let reference = rbf_svr().train(&data).unwrap();
+        let reference = rbf_svr().train_regression(&data).unwrap();
         let journaled = rbf_svr()
             .with_checkpoint_interval(5)
             .with_checkpoint_journal(journal.clone())
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         assert_eq!(reference.model.coef, journaled.model.coef);
         assert!(!journal.is_empty().unwrap());
@@ -642,7 +257,7 @@ mod tests {
             .with_checkpoint_interval(5)
             .with_checkpoint_journal(journal)
             .with_resume(true)
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         assert_eq!(resumed.model.coef, reference.model.coef);
         assert_eq!(resumed.model.rho, reference.model.rho);
@@ -654,24 +269,20 @@ mod tests {
         // an SVR journal must not be resumable by the classification
         // trainer even on identical x/y shapes — the "svr" tag in the
         // context fingerprint separates them
-        let data = sinc(40, 0.0, 11);
+        let labeled = plssvm_data::synthetic::generate_planes::<f64>(
+            &plssvm_data::synthetic::PlanesConfig::new(40, 3, 11),
+        )
+        .unwrap();
+        let data = RegressionData::new(labeled.x.clone(), labeled.y.clone()).unwrap();
         let dir = std::env::temp_dir().join(format!("plssvm_svr_tag_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let journal = CheckpointJournal::open(&dir, 2).unwrap();
-        LsSvr::new()
+        let trainer = LsSvm::new()
             .with_epsilon(1e-8)
             .with_checkpoint_interval(3)
-            .with_checkpoint_journal(journal.clone())
-            .train(&data)
-            .unwrap();
-        let err = LsSvr::new()
-            .with_epsilon(1e-8)
-            .with_cost(3.0)
-            .with_checkpoint_interval(3)
-            .with_checkpoint_journal(journal)
-            .with_resume(true)
-            .train(&data)
-            .unwrap_err();
+            .with_checkpoint_journal(journal);
+        trainer.train_regression(&data).unwrap();
+        let err = trainer.with_resume(true).train(&labeled).unwrap_err();
         assert!(
             matches!(&err, SvmError::Checkpoint(e) if e.kind() == "context_mismatch"),
             "{err:?}"
@@ -682,10 +293,10 @@ mod tests {
     #[test]
     fn lowrank_regression_matches_exact() {
         let data = sinc(150, 0.0, 21);
-        let exact = rbf_svr().train(&data).unwrap();
+        let exact = rbf_svr().train_regression(&data).unwrap();
         let lowrank = rbf_svr()
             .with_solver(SolverSelection::lowrank(40))
-            .train(&data)
+            .train_regression(&data)
             .unwrap();
         assert!(lowrank.converged, "{:?}", lowrank.outcome);
         assert!((exact.model.rho - lowrank.model.rho).abs() < 1e-5);
@@ -703,7 +314,7 @@ mod tests {
             .with_solver(SolverSelection::lowrank(8))
             .with_checkpoint_journal(journal)
             .with_resume(true)
-            .train(&data)
+            .train_regression(&data)
             .unwrap_err();
         assert!(
             matches!(&err, SvmError::Solver(msg) if msg.contains("resume")),
@@ -719,14 +330,17 @@ mod tests {
             vec![1.0],
         )
         .unwrap();
-        assert!(LsSvr::new().train(&one).is_err());
+        assert!(LsSvm::new().train_regression(&one).is_err());
     }
 
     #[test]
     fn r_squared_of_constant_targets_is_one_for_perfect_fit() {
         let x = DenseMatrix::from_rows(vec![vec![1.0f64], vec![2.0], vec![3.0]]).unwrap();
         let data = RegressionData::new(x, vec![5.0, 5.0, 5.0]).unwrap();
-        let out = LsSvr::new().with_epsilon(1e-10).train(&data).unwrap();
+        let out = LsSvm::new()
+            .with_epsilon(1e-10)
+            .train_regression(&data)
+            .unwrap();
         assert!(mean_squared_error(&out.model, &data) < 1e-10);
         assert_eq!(r_squared(&out.model, &data), 1.0);
     }

@@ -8,13 +8,13 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use plssvm_data::dense::{DenseMatrix, SoAMatrix};
-use plssvm_data::libsvm::{read_libsvm_file, LabeledData};
-use plssvm_data::model::{KernelSpec, SvmModel};
+use plssvm_data::libsvm::{read_libsvm_file, LabeledData, RegressionData};
+use plssvm_data::model::{KernelSpec, SvmModel, SvrModel};
 use plssvm_data::Real;
 use plssvm_simgpu::device::AtomicScalar;
 use plssvm_simgpu::FaultPlan;
@@ -267,7 +267,7 @@ impl<T: AtomicScalar> LsSvm<T> {
 
     /// Trains on an in-memory data set (the `read` component is zero).
     pub fn train(&self, data: &LabeledData<T>) -> Result<TrainOutput<T>, SvmError> {
-        self.train_inner(data, std::time::Duration::ZERO, None)
+        self.train_classifier(data, Duration::ZERO, None)
     }
 
     /// Trains from a LIBSVM data file, timing the `read` component, and
@@ -279,40 +279,138 @@ impl<T: AtomicScalar> LsSvm<T> {
     ) -> Result<TrainOutput<T>, SvmError> {
         let t0 = Instant::now();
         let data = read_libsvm_file::<T>(train_path, None)?;
-        let read = t0.elapsed();
-        self.train_inner(&data, read, model_path)
+        self.train_classifier(&data, t0.elapsed(), model_path)
+    }
+
+    /// Trains an LS-SVR on real-valued targets (the paper's §V regression
+    /// extension): the reduced system never uses `y ∈ {±1}`, so this is
+    /// the [`LsSvm::train`] pipeline with the result assembled into an
+    /// [`SvrModel`] (see [`crate::regression`]).
+    ///
+    /// ```
+    /// use plssvm_core::prelude::*;
+    /// use plssvm_data::synthetic::{generate_sinc, SincConfig};
+    ///
+    /// let data = generate_sinc::<f64>(&SincConfig::new(100, 7).with_noise(0.0))?;
+    /// let out = LsSvm::new()
+    ///     .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
+    ///     .with_cost(100.0)
+    ///     .with_epsilon(1e-8)
+    ///     .train_regression(&data)?;
+    /// assert!(mean_squared_error(&out.model, &data) < 1e-4);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn train_regression(
+        &self,
+        data: &RegressionData<T>,
+    ) -> Result<TrainOutput<T, SvrModel<T>>, SvmError> {
+        self.run(
+            Task::Regression,
+            &data.x,
+            &data.y,
+            Duration::ZERO,
+            |_, coef, b| {
+                let model = SvrModel {
+                    kernel: self.kernel,
+                    rho: -b,
+                    sv: data.x.clone(),
+                    coef,
+                    solver: self.solver.provenance(),
+                };
+                Ok((model, None))
+            },
+        )
+    }
+
+    fn train_classifier(
+        &self,
+        data: &LabeledData<T>,
+        read: Duration,
+        model_path: Option<&Path>,
+    ) -> Result<TrainOutput<T>, SvmError> {
+        self.run(
+            Task::Classification,
+            &data.x,
+            &data.y,
+            read,
+            |prepared, coef, b| {
+                // Eq. 15: for the linear kernel the explicit normal vector w is
+                // materialized (the paper's third compute kernel, `w_kernel`) so
+                // prediction costs O(d) per point instead of O(m·d)
+                let linear_w = if matches!(self.kernel, KernelSpec::Linear) {
+                    prepared.compute_linear_w(&coef)?
+                } else {
+                    None
+                };
+                let (pos, neg) = data.class_counts();
+                let model = SvmModel {
+                    kernel: self.kernel,
+                    labels: data.label_map,
+                    rho: -b,
+                    sv: data.x.clone(),
+                    coef,
+                    nr_sv: [pos, neg],
+                    solver: self.solver.provenance(),
+                };
+                if let Some(path) = model_path {
+                    model.save(path)?;
+                }
+                Ok((model, linear_w))
+            },
+        )
     }
 
     /// The fingerprint that must match between the run that wrote a
-    /// checkpoint and the run resuming from it: training data (features
-    /// *and* labels), kernel, cost, working precision, problem shape,
-    /// preconditioning mode, sample weights, plus the caller's salt.
-    fn checkpoint_context(&self, data: &LabeledData<T>) -> u64 {
-        let mut fp = ContextFingerprint::new()
+    /// checkpoint and the run resuming from it: the task, training data
+    /// (features *and* targets), kernel, cost, working precision, problem
+    /// shape, preconditioning mode, sample weights, plus the caller's salt.
+    /// Regression journals carry an `"svr"` tag and the preconditioning
+    /// mode only when it is on, and weights are folded in only when set,
+    /// so journals written before either existed still resume.
+    fn checkpoint_context(&self, task: Task, x: &DenseMatrix<T>, y: &[T]) -> u64 {
+        let mut fp = ContextFingerprint::new();
+        if task == Task::Regression {
+            fp = fp.push_str("svr");
+        }
+        fp = fp
             .push_kernel(&self.kernel)
             .push_f64(self.cost.to_f64())
             .push_u64(T::BYTES as u64)
-            .push_u64(data.points() as u64)
-            .push_u64(data.features() as u64)
-            .push_u64(u64::from(self.jacobi_preconditioner))
-            .push_u64(self.checkpoint_salt);
-        for p in 0..data.points() {
-            for &v in data.x.row(p) {
+            .push_u64(x.rows() as u64)
+            .push_u64(x.cols() as u64);
+        if task == Task::Classification || self.jacobi_preconditioner {
+            fp = fp.push_u64(u64::from(self.jacobi_preconditioner));
+        }
+        fp = fp.push_u64(self.checkpoint_salt);
+        for (p, &target) in y.iter().enumerate() {
+            for &v in x.row(p) {
                 fp = fp.push_f64(v.to_f64());
             }
-            fp = fp.push_f64(data.y[p].to_f64());
+            fp = fp.push_f64(target.to_f64());
+        }
+        if let Some(weights) = &self.sample_weights {
+            fp = fp.push_str("weights");
+            for &w in weights {
+                fp = fp.push_f64(w.to_f64());
+            }
         }
         fp.finish()
     }
 
-    fn train_inner(
+    /// The one training pipeline (§III): input checks, transform, setup,
+    /// the exact or low-rank solve, spans and telemetry. `assemble` turns
+    /// the full `α` and the bias `b` into the model (plus the linear `w`)
+    /// inside the `write` span.
+    fn run<M>(
         &self,
-        data: &LabeledData<T>,
-        read: std::time::Duration,
-        model_path: Option<&Path>,
-    ) -> Result<TrainOutput<T>, SvmError> {
+        task: Task,
+        x: &DenseMatrix<T>,
+        y: &[T],
+        read: Duration,
+        assemble: impl FnOnce(&Prepared<T>, Vec<T>, T) -> Result<(M, Option<Vec<T>>), SvmError>,
+    ) -> Result<TrainOutput<T, M>, SvmError> {
         let t_total = Instant::now();
-        if data.points() < 2 {
+        if x.rows() < 2 {
             return Err(SvmError::Solver(
                 "training needs at least two data points".into(),
             ));
@@ -344,7 +442,7 @@ impl<T: AtomicScalar> LsSvm<T> {
             BackendSelection::SimGpu { tiling, .. }
             | BackendSelection::SimGpuRows { tiling, .. }
             | BackendSelection::SimCluster { tiling, .. } => {
-                Some(SoAMatrix::from_dense(&data.x, tiling.tile()))
+                Some(SoAMatrix::from_dense(x, tiling.tile()))
             }
             _ => None,
         });
@@ -352,24 +450,32 @@ impl<T: AtomicScalar> LsSvm<T> {
         // (2b + 3) device setup, upload and CG solve
         let t_cg = Instant::now();
         let t_setup = Instant::now();
-        let mut prepared = Prepared::new(&backend, &data.x, soa.as_ref(), &self.kernel, self.cost)?;
+        let mut prepared = Prepared::new(&backend, x, soa.as_ref(), &self.kernel, self.cost)?;
         if let Some(sink) = &self.metrics {
             prepared.set_metrics(Arc::clone(sink) as Arc<dyn MetricsSink>);
         }
         if let Some(plan) = &self.fault_plan {
             prepared.install_fault_plan(plan)?;
+            // with no survivor there is nobody to redistribute to
+            let (stopped, live) = (plan.fail_stopped_devices(), prepared.live_devices());
+            if stopped >= live {
+                return Err(SvmError::Solver(format!(
+                    "the fault plan fail-stops {stopped} of {live} live device(s); \
+                     no survivor could finish the solve"
+                )));
+            }
         }
         if let Some(weights) = &self.sample_weights {
-            if weights.len() != data.points() {
+            if weights.len() != x.rows() {
                 return Err(SvmError::Solver(format!(
                     "{} sample weights for {} data points",
                     weights.len(),
-                    data.points()
+                    x.rows()
                 )));
             }
             prepared.set_sample_weights(weights, self.cost)?;
         }
-        let rhs = reduced_rhs(&data.y);
+        let rhs = reduced_rhs(y);
         rec.record(spans::CG_SETUP, t_setup.elapsed());
         let cg_cfg = CgConfig {
             epsilon: self.epsilon,
@@ -384,7 +490,7 @@ impl<T: AtomicScalar> LsSvm<T> {
             let params = prepared.params();
             (0..params.dim())
                 .map(|i| {
-                    kernel_row(&self.kernel, data.x.row(i), data.x.row(i)) + params.ridge(i)
+                    kernel_row(&self.kernel, x.row(i), x.row(i)) + params.ridge(i)
                         - T::TWO * params.q[i]
                         + params.q_mm()
                 })
@@ -411,7 +517,7 @@ impl<T: AtomicScalar> LsSvm<T> {
             } => solve_lowrank(
                 &prepared,
                 prepared.params(),
-                &data.x,
+                x,
                 &self.kernel,
                 rank,
                 seed,
@@ -428,7 +534,7 @@ impl<T: AtomicScalar> LsSvm<T> {
                 let mut resume_point = None;
                 let journal_sink = match &self.checkpoint_journal {
                     Some(journal) => {
-                        let context = self.checkpoint_context(data);
+                        let context = self.checkpoint_context(task, x, y);
                         if self.resume {
                             resume_point =
                                 load_resume_point::<T>(journal, context, rhs.len(), metrics_ref)?;
@@ -464,29 +570,8 @@ impl<T: AtomicScalar> LsSvm<T> {
 
         // (4) assemble the model (and optionally write it)
         let t_write = Instant::now();
-        let b = bias(prepared.params(), &data.y, &solve.x);
-        let alpha = full_alpha(&solve.x);
-        // Eq. 15: for the linear kernel the explicit normal vector w is
-        // materialized (the paper's third compute kernel, `w_kernel`) so
-        // prediction costs O(d) per point instead of O(m·d)
-        let linear_w = if matches!(self.kernel, KernelSpec::Linear) {
-            prepared.compute_linear_w(&alpha)?
-        } else {
-            None
-        };
-        let (pos, neg) = data.class_counts();
-        let model = SvmModel {
-            kernel: self.kernel,
-            labels: data.label_map,
-            rho: -b,
-            sv: data.x.clone(),
-            coef: alpha,
-            nr_sv: [pos, neg],
-            solver: self.solver.provenance(),
-        };
-        if let Some(path) = model_path {
-            model.save(path)?;
-        }
+        let b = bias(prepared.params(), y, &solve.x);
+        let (model, linear_w) = assemble(&prepared, full_alpha(&solve.x), b)?;
         rec.record(spans::WRITE, t_write.elapsed());
         rec.record(spans::TRAIN, t_total.elapsed() + read);
 
@@ -518,11 +603,20 @@ impl<T: AtomicScalar> LsSvm<T> {
     }
 }
 
-/// Everything a training run produces.
+/// Which problem the reduced system encodes; only the checkpoint
+/// fingerprint tells them apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Task {
+    Classification,
+    Regression,
+}
+
+/// Everything a training run produces: `M` is [`SvmModel`] for
+/// [`LsSvm::train`] and [`SvrModel`] for [`LsSvm::train_regression`].
 #[derive(Debug)]
-pub struct TrainOutput<T> {
+pub struct TrainOutput<T, M = SvmModel<T>> {
     /// The trained model (all `m` training points as support vectors).
-    pub model: SvmModel<T>,
+    pub model: M,
     /// Component wall-clock timings.
     pub times: ComponentTimes,
     /// CG iterations performed (summed across all escalation rungs).
@@ -541,9 +635,9 @@ pub struct TrainOutput<T> {
     /// Human-readable backend description.
     pub backend_name: String,
     /// The explicit normal vector `w = Σᵢ αᵢ·xᵢ` (Eq. 15), materialized
-    /// for the linear kernel on every backend (the paper's `w_kernel` on
-    /// the simulated devices); enables O(d) prediction via
-    /// [`predict_linear`].
+    /// for the linear classifier on every backend (the paper's `w_kernel`
+    /// on the simulated devices); enables O(d) prediction via
+    /// [`predict_linear`]. `None` for regression.
     pub linear_w: Option<Vec<T>>,
     /// Device counters (simulated backends only).
     pub device: Option<DeviceReport>,
@@ -1284,5 +1378,111 @@ mod tests {
             .train(&data)
             .unwrap();
         assert!(accuracy(&out.model, &data) >= 0.95);
+    }
+
+    #[test]
+    fn classification_and_regression_run_one_pipeline() {
+        // ±1 targets through train and train_regression solve the same
+        // reduced system on the same path, bit for bit
+        let data = planes(90, 5, 61);
+        let targets = RegressionData::new(data.x.clone(), data.y.clone()).unwrap();
+        for solver in [SolverSelection::Exact, SolverSelection::lowrank(24)] {
+            let trainer = LsSvm::new()
+                .with_kernel(KernelSpec::Rbf { gamma: 0.3 })
+                .with_epsilon(1e-8)
+                .with_solver(solver);
+            let svm = trainer.train(&data).unwrap();
+            let svr = trainer.train_regression(&targets).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&svm.model.coef), bits(&svr.model.coef), "{solver:?}");
+            assert_eq!(
+                svm.model.rho.to_bits(),
+                svr.model.rho.to_bits(),
+                "{solver:?}"
+            );
+            assert_eq!(svm.iterations, svr.iterations, "{solver:?}");
+        }
+    }
+
+    #[test]
+    fn unweighted_checkpoint_fingerprints_are_stable() {
+        // journals already on disk must keep resuming, so unweighted
+        // fingerprints are pinned for both tasks
+        let data = generate_planes::<f64>(&PlanesConfig::new(16, 3, 7)).unwrap();
+        let sinc = plssvm_data::synthetic::generate_sinc::<f64>(
+            &plssvm_data::synthetic::SincConfig::new(16, 5).with_noise(0.0),
+        )
+        .unwrap();
+        let plain = LsSvm::<f64>::new();
+        let tuned = LsSvm::<f64>::new()
+            .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
+            .with_cost(2.0)
+            .with_checkpoint_salt(99);
+        let svm = |t: &LsSvm<f64>| t.checkpoint_context(Task::Classification, &data.x, &data.y);
+        let svr = |t: &LsSvm<f64>| t.checkpoint_context(Task::Regression, &sinc.x, &sinc.y);
+        let jacobi = tuned.clone().with_jacobi_preconditioner(true);
+        assert_eq!(svm(&plain), 0x0a57_1e8e_9550_4c4f);
+        assert_eq!(svm(&jacobi), 0x6fb0_4dfa_b7f8_1743);
+        assert_eq!(svr(&plain), 0xcba2_0cd5_e377_88a5);
+        assert_eq!(svr(&tuned), 0xd371_05df_5d02_5438);
+        // preconditioning and weights each change the context
+        assert_ne!(svr(&jacobi), svr(&tuned));
+        let weighted = plain.clone().with_sample_weights(vec![1.0; 16]);
+        assert_ne!(svm(&weighted), svm(&plain));
+        assert_ne!(svr(&weighted), svr(&plain));
+    }
+
+    #[test]
+    fn resume_with_different_sample_weights_is_rejected() {
+        let data = planes(40, 4, 63);
+        // -w1 0.01: the first class's error terms weigh C·0.01
+        let weights: Vec<f64> = data
+            .y
+            .iter()
+            .map(|&y| if y > 0.0 { 0.01 } else { 1.0 })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("plssvm_svm_wctx_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let journal = CheckpointJournal::open(&dir, 2).unwrap();
+        let trainer = LsSvm::new()
+            .with_epsilon(1e-10)
+            .with_checkpoint_interval(2)
+            .with_checkpoint_journal(journal);
+        trainer.train(&data).unwrap();
+        let weighted = trainer.clone().with_sample_weights(weights);
+        let err = weighted.clone().with_resume(true).train(&data).unwrap_err();
+        assert!(
+            matches!(&err, SvmError::Checkpoint(e) if e.kind() == "context_mismatch"),
+            "{err:?}"
+        );
+        // a weighted journal resumes under the same weights, bit-exactly
+        let reference = weighted.train(&data).unwrap();
+        let resumed = weighted.with_resume(true).train(&data).unwrap();
+        assert_eq!(resumed.model.coef, reference.model.coef);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fault_plan_that_stops_every_device_is_rejected_before_the_solve() {
+        let data = planes(40, 4, 64);
+        let train = |devices: usize, plan: &str| {
+            LsSvm::new()
+                .with_backend(BackendSelection::sim_multi_gpu(
+                    hw::A100,
+                    DeviceApi::Cuda,
+                    devices,
+                ))
+                .with_fault_plan(FaultPlan::parse(plan).unwrap())
+                .train(&data)
+        };
+        for (devices, plan) in [(1, "fail:0@1"), (2, "fail:0@3;fail:1@5")] {
+            let err = train(devices, plan).unwrap_err();
+            assert!(
+                matches!(&err, SvmError::Solver(msg) if msg.contains("no survivor")),
+                "{plan}: {err:?}"
+            );
+        }
+        // one survivor finishes the solve
+        assert!(train(2, "fail:1@3").unwrap().converged);
     }
 }

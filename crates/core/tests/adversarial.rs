@@ -301,11 +301,11 @@ fn f32_svr_trains_only_via_precision_escalation() {
         .collect();
     let data = RegressionData::new(DenseMatrix::from_rows(rows).unwrap(), y).unwrap();
 
-    let unguarded = LsSvr::<f32>::new()
+    let unguarded = LsSvm::<f32>::new()
         .with_cost(10.0)
         .with_epsilon(1e-4)
         .with_recovery_policy(RecoveryPolicy::disabled())
-        .train(&data)
+        .train_regression(&data)
         .unwrap();
     assert!(
         !unguarded.converged,
@@ -319,11 +319,11 @@ fn f32_svr_trains_only_via_precision_escalation() {
     );
 
     let telemetry = Telemetry::shared();
-    let guarded = LsSvr::<f32>::new()
+    let guarded = LsSvm::<f32>::new()
         .with_cost(10.0)
         .with_epsilon(1e-4)
         .with_metrics(telemetry.clone())
-        .train(&data)
+        .train_regression(&data)
         .unwrap();
     assert_eq!(
         guarded.outcome,

@@ -10,7 +10,8 @@
 //! ```
 
 use plssvm::core::backend::BackendSelection;
-use plssvm::core::regression::{mean_squared_error, predict_values, r_squared, LsSvr};
+use plssvm::core::regression::{mean_squared_error, predict_values, r_squared};
+use plssvm::core::svm::LsSvm;
 use plssvm::data::model::KernelSpec;
 use plssvm::data::synthetic::{generate_sinc, SincConfig};
 use plssvm::simgpu::{hw, Backend as DeviceApi};
@@ -24,12 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         test.points()
     );
 
-    let out = LsSvr::new()
+    let out = LsSvm::new()
         .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
         .with_cost(10.0)
         .with_epsilon(1e-8)
         .with_backend(BackendSelection::openmp(None))
-        .train(&train)?;
+        .train_regression(&train)?;
     println!(
         "trained in {} CG iterations (converged: {})",
         out.iterations, out.converged
@@ -66,12 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // the same model trains on a simulated device, multi-GPU included
-    let gpu = LsSvr::new()
+    let gpu = LsSvm::new()
         .with_kernel(KernelSpec::Rbf { gamma: 0.5 })
         .with_cost(10.0)
         .with_epsilon(1e-8)
         .with_backend(BackendSelection::sim_gpu(hw::A100, DeviceApi::Cuda))
-        .train(&train)?;
+        .train_regression(&train)?;
     println!(
         "\nsame fit on a simulated A100: {} iterations, {:.3} ms simulated device time",
         gpu.iterations,

@@ -4,7 +4,7 @@
 
 use plssvm::core::backend::BackendSelection;
 use plssvm::core::multiclass::{train_multiclass, MultiClassModel, MultiClassStrategy};
-use plssvm::core::regression::{mean_squared_error, predict_values, LsSvr};
+use plssvm::core::regression::{mean_squared_error, predict_values};
 use plssvm::core::svm::{accuracy, LsSvm};
 use plssvm::core::validation::cross_validate;
 use plssvm::core::weighted::train_robust;
@@ -106,7 +106,7 @@ fn regression_on_simulated_multi_gpu() {
         y.push(t);
     }
     let data = plssvm::data::libsvm::RegressionData::new(x, y).unwrap();
-    let out = LsSvr::new()
+    let out = LsSvm::new()
         .with_cost(1e4)
         .with_epsilon(1e-10)
         .with_backend(BackendSelection::sim_multi_gpu(
@@ -114,7 +114,7 @@ fn regression_on_simulated_multi_gpu() {
             DeviceApi::Cuda,
             4,
         ))
-        .train(&data)
+        .train_regression(&data)
         .unwrap();
     assert!(out.device.unwrap().per_device.len() == 4);
     assert!(mean_squared_error(&out.model, &data) < 1e-6);
@@ -193,11 +193,11 @@ fn weighted_training_composes_with_cross_validation() {
 #[test]
 fn regression_prediction_matches_training_targets_at_interpolation() {
     let data = generate_sinc::<f64>(&SincConfig::new(100, 26).with_noise(0.0)).unwrap();
-    let out = LsSvr::new()
+    let out = LsSvm::new()
         .with_kernel(KernelSpec::Rbf { gamma: 1.0 })
         .with_cost(1e6)
         .with_epsilon(1e-12)
-        .train(&data)
+        .train_regression(&data)
         .unwrap();
     let values = predict_values(&out.model, &data.x);
     // near-interpolation: the 1/C = 1e-6 ridge and the RBF system's
