@@ -20,10 +20,10 @@ use plssvm_data::arff::read_arff_file;
 use plssvm_data::checkpoint::fnv1a64;
 use plssvm_data::io::write_atomic_with;
 use plssvm_data::libsvm::{
-    read_libsvm_file, read_libsvm_regression_file, write_libsvm_string, LabeledData, RegressionData,
+    read_libsvm_file, read_libsvm_regression_file, write_libsvm_string, RegressionData,
 };
 use plssvm_data::model::{peek_svm_type, SvmModel, SvrModel};
-use plssvm_data::multiclass::read_libsvm_multiclass_file;
+use plssvm_data::multiclass::{read_libsvm_classes_file, read_libsvm_multiclass_file, Classes};
 use plssvm_data::sat6::{generate_sat6, Sat6Config};
 use plssvm_data::scale::ScalingParams;
 use plssvm_data::synthetic::{generate_planes, PlanesConfig};
@@ -107,16 +107,6 @@ fn is_arff(path: &str) -> bool {
     std::path::Path::new(path)
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("arff"))
-}
-
-/// Reads a binary classification file, dispatching on the extension
-/// (`.arff` → ARFF, anything else → LIBSVM format).
-fn read_classification(path: &str) -> Result<LabeledData<f64>, Box<dyn Error>> {
-    Ok(if is_arff(path) {
-        read_arff_file::<f64>(path)?
-    } else {
-        read_libsvm_file::<f64>(path, None)?
-    })
 }
 
 /// Fresh telemetry sink when `--metrics-out` or `--verbose` asked for one.
@@ -370,15 +360,18 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     if args.svm_type == 3 {
         return run_train_regression(args);
     }
-    // classification: detect the class count first (multi-class detection
-    // applies to LIBSVM input; ARFF input is binary in PLSSVM v1 style)
-    if !is_arff(&args.input) {
-        let multi = read_libsvm_multiclass_file::<f64>(&args.input, None)?;
-        if multi.num_classes() > 2 {
-            return run_train_multiclass(args, &multi);
+    // classification: one parse, which also tells binary from multi-class
+    // LIBSVM input (ARFF input is binary in PLSSVM v1 style)
+    let t_read = Instant::now();
+    let data = if is_arff(&args.input) {
+        read_arff_file::<f64>(&args.input)?
+    } else {
+        match read_libsvm_classes_file::<f64>(&args.input)? {
+            Classes::Binary(data) => data,
+            Classes::Multi(multi) => return run_train_multiclass(args, &multi),
         }
-    }
-    let data = read_classification(&args.input)?;
+    };
+    let read = t_read.elapsed();
     let vfs = vfs_for(args);
 
     // -v k: cross validation instead of model training (LIBSVM behaviour)
@@ -390,12 +383,45 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
         refuse(args.checkpoint_dir.is_some(), "--checkpoint-dir", mode)?;
         refuse(!args.label_weights.is_empty(), "-wi", mode)?;
         refuse(args.metrics_out.is_some(), "--metrics-out", mode)?;
-        let trainer = lssvm_trainer(args, data.features(), &vfs, None)?;
+        let trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
         let cv = cross_validate(&data, &trainer, folds, 42)?;
-        return Ok(format!(
+        // the first fold that missed ε drives the --on-nonconverged policy
+        let failed: Vec<_> = cv
+            .fold_solves
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| !f.outcome.is_converged())
+            .collect();
+        let mut summary = String::new();
+        if let Some(&(fold, first)) = failed.first() {
+            match args.on_nonconverged {
+                NonConvergedAction::Error => {
+                    return Err(Box::new(SvmError::NonConverged {
+                        outcome: first.outcome,
+                        relative_residual: first.relative_residual,
+                        iterations: first.iterations,
+                    }))
+                }
+                NonConvergedAction::Warn => summary.push_str(&format!(
+                    "WARNING: {} of {folds} folds did not converge (first: fold {fold}, {}, \
+                     relative residual {:.3e} after {} iterations); accuracy reported \
+                     (--on-nonconverged warn)\n",
+                    failed.len(),
+                    first.outcome,
+                    first.relative_residual,
+                    first.iterations
+                )),
+                NonConvergedAction::Accept => {}
+            }
+        }
+        summary.push_str(&format!(
             "Cross Validation Accuracy = {:.4}% ({folds}-fold)\n",
             100.0 * cv.accuracy
         ));
+        if let Some(telemetry) = &trainer.metrics {
+            emit_telemetry(args, vfs.as_ref(), &telemetry.report(), &mut summary)?;
+        }
+        return Ok(summary);
     }
 
     if args.fault_plan.is_some() && args.algorithm != Algorithm::LsSvm {
@@ -414,11 +440,7 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
                 .collect();
             trainer = trainer.with_sample_weights(weights);
         }
-        let out = if is_arff(&args.input) {
-            trainer.train(&data)?
-        } else {
-            trainer.train_from_file(&args.input, None)?
-        };
+        let out = trainer.train_parsed(&data, read)?;
         return finish_lssvm(
             args,
             vfs.as_ref(),
@@ -547,7 +569,7 @@ fn run_train_multiclass(
     let vfs = vfs_for(args);
     // each binary subproblem checkpoints into its own task-<k>/
     // sub-journal (handled by the multiclass driver)
-    let trainer = lssvm_trainer(args, data.features(), &vfs, None)?;
+    let trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
     let strategy = match args.multiclass {
         McStrategy::Ovo => MultiClassStrategy::OneVsOne,
         McStrategy::Ovr => MultiClassStrategy::OneVsRest,
@@ -596,6 +618,9 @@ fn run_train_multiclass(
             model.num_models(),
             100.0 * model.accuracy(data),
         ));
+    }
+    if let Some(telemetry) = &trainer.metrics {
+        emit_telemetry(args, vfs.as_ref(), &telemetry.report(), &mut summary)?;
     }
     Ok(summary)
 }
@@ -1688,6 +1713,123 @@ mod tests {
         let msg = run_train(&train).unwrap();
         assert!(msg.contains("solver outcome: converged"), "{msg}");
         assert!(model.exists());
+    }
+
+    fn planes_file(dir: &std::path::Path, points: &str, seed: &str) -> std::path::PathBuf {
+        let data = dir.join("train.dat");
+        run_generate(
+            &parse_generate(&sv(&[
+                "--points",
+                points,
+                "--features",
+                "4",
+                "--seed",
+                seed,
+                "--sep",
+                "4.0",
+                "--flip",
+                "0.0",
+                "-o",
+                data.to_str().unwrap(),
+            ]))
+            .unwrap(),
+        )
+        .unwrap();
+        data
+    }
+
+    #[test]
+    fn on_nonconverged_policy_reaches_cross_validation_folds() {
+        let dir = tmpdir("cv_nonconverged");
+        let data = planes_file(&dir, "60", "23");
+        let cv = |policy: &str| {
+            run_train(
+                &parse_train(&sv(&[
+                    "-v",
+                    "3",
+                    "-c",
+                    "1e12",
+                    "-e",
+                    "1e-16",
+                    "--on-nonconverged",
+                    policy,
+                    data.to_str().unwrap(),
+                ]))
+                .unwrap(),
+            )
+        };
+        let err = cv("error").unwrap_err();
+        let svm_err = err
+            .downcast_ref::<SvmError>()
+            .expect("NonConverged must surface as SvmError for the exit-code mapping");
+        assert!(
+            matches!(svm_err, SvmError::NonConverged { .. }),
+            "{svm_err}"
+        );
+        let msg = cv("warn").unwrap();
+        assert!(msg.contains("3 of 3 folds did not converge"), "{msg}");
+        assert!(msg.contains("Cross Validation Accuracy"), "{msg}");
+        let msg = cv("accept").unwrap();
+        assert!(!msg.contains("WARNING"), "{msg}");
+        assert!(msg.contains("Cross Validation Accuracy"), "{msg}");
+    }
+
+    #[test]
+    fn verbose_reports_dispatch_and_counters_in_cross_validation() {
+        let dir = tmpdir("cv_verbose");
+        let data = planes_file(&dir, "60", "8");
+        let cv = |extra: &[&str]| {
+            let mut a = vec!["-v", "3", "-e", "1e-6"];
+            a.extend_from_slice(extra);
+            a.push(data.to_str().unwrap());
+            run_train(&parse_train(&sv(&a)).unwrap()).unwrap()
+        };
+        let verbose = cv(&["--verbose"]);
+        assert!(verbose.contains("simd dispatch: "), "{verbose}");
+        assert!(verbose.contains("telemetry: "), "{verbose}");
+        let plain = cv(&[]);
+        assert!(!plain.contains("simd dispatch"), "{plain}");
+        // the report is added, the accuracy line is the same
+        assert!(verbose.starts_with(plain.as_str()), "{verbose}");
+    }
+
+    #[test]
+    fn verbose_reports_dispatch_and_counters_for_multiclass_input() {
+        let dir = tmpdir("mc_verbose");
+        let data = dir.join("blobs.dat");
+        let blobs = plssvm_data::synthetic::generate_blobs::<f64>(
+            &plssvm_data::synthetic::BlobsConfig::new(60, 4, 3, 5).with_separation(6.0),
+        )
+        .unwrap();
+        let mut content = String::new();
+        for p in 0..blobs.points() {
+            content.push_str(&blobs.labels[p].to_string());
+            for f in 0..blobs.features() {
+                content.push_str(&format!(" {}:{}", f + 1, blobs.x.get(p, f)));
+            }
+            content.push('\n');
+        }
+        std::fs::write(&data, content).unwrap();
+        let train = |extra: &str| {
+            let model = dir.join(format!("blobs{extra}.model"));
+            let mut a = vec!["-e", "1e-8"];
+            if !extra.is_empty() {
+                a.push(extra);
+            }
+            a.extend([data.to_str().unwrap(), model.to_str().unwrap()]);
+            let msg = run_train(&parse_train(&sv(&a)).unwrap()).unwrap();
+            (msg, std::fs::read(model).unwrap())
+        };
+        let (verbose, verbose_model) = train("--verbose");
+        assert!(verbose.contains("3 binary models"), "{verbose}");
+        assert!(verbose.contains("simd dispatch: "), "{verbose}");
+        assert!(verbose.contains("telemetry: "), "{verbose}");
+        let (plain, plain_model) = train("");
+        assert!(!plain.contains("simd dispatch"), "{plain}");
+        assert_eq!(
+            verbose_model, plain_model,
+            "--verbose must not change the model"
+        );
     }
 
     #[test]

@@ -28,6 +28,10 @@
 //! never on the thread count — results are bitwise independent of the
 //! number of worker threads.
 //!
+//! The tile loops are compiled once per ISA tier and dispatched once per
+//! parallel task (see [`crate::simd`], "Where tier dispatch happens"), so
+//! the mirror updates' `mul_add`s are FMA instructions on SIMD hosts.
+//!
 //! Boundary behaviour is explicit everywhere: every tile and micro-tile
 //! clamps to `n`, so `n = 1`, `n` one off a tile multiple and prime `n`
 //! take the same code path as full tiles (see the boundary tests in
@@ -39,7 +43,7 @@ use plssvm_data::Real;
 
 use crate::error::SvmError;
 use crate::kernel::{kernel_panel, kernel_row, PANEL_MR, PANEL_NR};
-use crate::simd::Isa;
+use crate::simd::{tiered, Isa};
 
 /// Upper bound on the number of partial output buffers (and parallel
 /// tasks) of the symmetric matvec. Keeps the reduction memory at
@@ -120,7 +124,7 @@ impl CpuTilingConfig {
     /// Both schedules clamp tiles to `n` (tiles beyond the problem change
     /// nothing but bloat the bookkeeping). The non-symmetric row sweep
     /// additionally shrinks `row_tile` on small problems so the row range
-    /// splits into at least [`MAX_PARTIAL_GROUPS`] independent chunks —
+    /// splits into at least `MAX_PARTIAL_GROUPS` (64) independent chunks —
     /// without this, small-`n` parallel runs degenerate to a handful of
     /// oversized chunks and lose to the scalar sweep on load imbalance.
     ///
@@ -194,6 +198,7 @@ fn gather_rows<'a, T: Real>(
 /// One off-diagonal cache tile `[i0,i1)×[j0,j1)` with `j0 ≥ i1`, evaluated
 /// through micro-tiles and mirrored: `out[i] += K_ij·v[j]` and
 /// `out[j] += K_ij·v[i]` for every entry.
+#[inline(always)]
 fn symmetric_off_tile<T: Real>(
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
@@ -231,6 +236,7 @@ fn symmetric_off_tile<T: Real>(
 /// triangle (mirrored). Micro-tiles strictly above the diagonal go through
 /// the panel evaluator; the straddling blocks fall back to the scalar
 /// triangle.
+#[inline(always)]
 fn symmetric_diag_tile<T: Real>(
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
@@ -261,11 +267,29 @@ fn symmetric_diag_tile<T: Real>(
     }
 }
 
-/// Accumulates the symmetric contributions of every tile row `I` with
-/// `I ≡ group (mod groups)` into `out` (which the caller zero-fills or
-/// reduces). `group = 0, groups = 1` is the complete sequential matvec.
+tiered! {
+    /// Accumulates the symmetric contributions of every tile row `I` with
+    /// `I ≡ group (mod groups)` into `out` (which the caller zero-fills or
+    /// reduces), on the ISA tier `isa`. `group = 0, groups = 1` is the
+    /// complete sequential matvec.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn symmetric_group_matvec<T: Real>(
+        isa: Isa,
+        data: &DenseMatrix<T>,
+        kernel: &KernelSpec<T>,
+        cfg: &CpuTilingConfig,
+        n: usize,
+        v: &[T],
+        group: usize,
+        groups: usize,
+        out: &mut [T],
+    ) = symmetric_group_matvec_body;
+}
+
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn symmetric_group_matvec<T: Real>(
+#[inline(always)]
+fn symmetric_group_matvec_body<T: Real>(
+    isa: Isa,
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
     cfg: &CpuTilingConfig,
@@ -275,7 +299,6 @@ pub(crate) fn symmetric_group_matvec<T: Real>(
     groups: usize,
     out: &mut [T],
 ) {
-    let isa = cfg.resolved_isa();
     let tile_rows = n.div_ceil(cfg.row_tile);
     let mut ti = group;
     while ti < tile_rows {
@@ -292,11 +315,29 @@ pub(crate) fn symmetric_group_matvec<T: Real>(
     }
 }
 
-/// Computes complete output rows `row0..row0+out.len()` of `K·v` without
-/// symmetry (the full `n` columns per row), blocked over column tiles and
-/// register micro-tiles. Rows are independent, so parallel callers can
-/// hand out disjoint `out` chunks without partial buffers.
-pub(crate) fn full_rows_matvec<T: Real>(
+tiered! {
+    /// Computes complete output rows `row0..row0+out.len()` of `K·v`
+    /// without symmetry (the full `n` columns per row), blocked over
+    /// column tiles and register micro-tiles, on the ISA tier `isa`. Rows
+    /// are independent, so parallel callers can hand out disjoint `out`
+    /// chunks without partial buffers.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn full_rows_matvec<T: Real>(
+        isa: Isa,
+        data: &DenseMatrix<T>,
+        kernel: &KernelSpec<T>,
+        cfg: &CpuTilingConfig,
+        n: usize,
+        v: &[T],
+        row0: usize,
+        out: &mut [T],
+    ) = full_rows_matvec_body;
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn full_rows_matvec_body<T: Real>(
+    isa: Isa,
     data: &DenseMatrix<T>,
     kernel: &KernelSpec<T>,
     cfg: &CpuTilingConfig,
@@ -306,7 +347,6 @@ pub(crate) fn full_rows_matvec<T: Real>(
     out: &mut [T],
 ) {
     out.fill(T::ZERO);
-    let isa = cfg.resolved_isa();
     let row1 = row0 + out.len();
     let mut ra: [&[T]; PANEL_MR] = [&[]; PANEL_MR];
     let mut rb: [&[T]; PANEL_MR] = [&[]; PANEL_MR];
@@ -390,7 +430,17 @@ mod tests {
                 let mut partial = vec![0.0; n];
                 for g in 0..groups {
                     partial.fill(0.0);
-                    symmetric_group_matvec(&data, &kernel, &cfg, n, &v, g, groups, &mut partial);
+                    symmetric_group_matvec(
+                        cfg.resolved_isa(),
+                        &data,
+                        &kernel,
+                        &cfg,
+                        n,
+                        &v,
+                        g,
+                        groups,
+                        &mut partial,
+                    );
                     for i in 0..n {
                         out[i] += partial[i];
                     }
@@ -418,7 +468,16 @@ mod tests {
             // arbitrary row split, including a ragged final chunk
             let mut out = vec![0.0; n];
             for (ci, chunk) in out.chunks_mut(11).enumerate() {
-                full_rows_matvec(&data, &kernel, &cfg, n, &v, ci * 11, chunk);
+                full_rows_matvec(
+                    cfg.resolved_isa(),
+                    &data,
+                    &kernel,
+                    &cfg,
+                    n,
+                    &v,
+                    ci * 11,
+                    chunk,
+                );
             }
             for i in 0..n {
                 assert!(
@@ -429,6 +488,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Deterministic values in `[-1, 1]` that use every mantissa bit.
+    fn noisy<T: Real>(len: usize, salt: usize) -> Vec<T> {
+        (0..len)
+            .map(|i| T::from_f64(((i * 7 + salt * 13) as f64 * 0.618).sin()))
+            .collect()
+    }
+
+    fn specs_for<T: Real>() -> Vec<KernelSpec<T>> {
+        let r = T::from_f64;
+        vec![
+            KernelSpec::Linear,
+            KernelSpec::Polynomial {
+                degree: 3,
+                gamma: r(0.1),
+                coef0: r(0.5),
+            },
+            KernelSpec::Rbf { gamma: r(0.05) },
+            KernelSpec::Sigmoid {
+                gamma: r(0.1),
+                coef0: r(-0.2),
+            },
+        ]
+    }
+
+    fn assert_same_bits<T: Real>(got: &[T], want: &[T], what: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_f64().to_bits(), w.to_f64().to_bits(), "{what} row {i}");
+        }
+    }
+
+    /// Every tier's compiled tile loops give the bits of the plain body
+    /// called directly: the straddle blocks, partial panels, ragged tiles
+    /// and mirror updates keep their operations under FMA and vector
+    /// features.
+    #[test]
+    fn tiered_matvecs_match_their_plain_bodies_bit_for_bit() {
+        fn check<T: Real>() {
+            let d = 19;
+            for n in [1usize, 3, 5, 37, 67] {
+                let data = DenseMatrix::from_vec(n, d, noisy::<T>(n * d, 1));
+                let v = noisy::<T>(n, 2);
+                let cfg = CpuTilingConfig::new(16, 8);
+                let groups = cfg.partial_groups(n);
+                for kernel in specs_for::<T>() {
+                    for isa in Isa::available() {
+                        let what = format!("{kernel:?} {isa} n={n}");
+                        for g in 0..groups {
+                            let mut tiered = vec![T::ZERO; n];
+                            let mut plain = vec![T::ZERO; n];
+                            symmetric_group_matvec(
+                                isa,
+                                &data,
+                                &kernel,
+                                &cfg,
+                                n,
+                                &v,
+                                g,
+                                groups,
+                                &mut tiered,
+                            );
+                            symmetric_group_matvec_body(
+                                isa, &data, &kernel, &cfg, n, &v, g, groups, &mut plain,
+                            );
+                            assert_same_bits(
+                                &tiered,
+                                &plain,
+                                &format!("{what} symmetric group {g}"),
+                            );
+                        }
+                        let mut tiered = vec![T::ZERO; n];
+                        let mut plain = vec![T::ZERO; n];
+                        for (c, (t, p)) in
+                            tiered.chunks_mut(11).zip(plain.chunks_mut(11)).enumerate()
+                        {
+                            full_rows_matvec(isa, &data, &kernel, &cfg, n, &v, c * 11, t);
+                            full_rows_matvec_body(isa, &data, &kernel, &cfg, n, &v, c * 11, p);
+                        }
+                        assert_same_bits(&tiered, &plain, &format!("{what} full rows"));
+                    }
+                }
+            }
+        }
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]
@@ -462,10 +607,10 @@ mod tests {
             for isa in Isa::available() {
                 let sym = CpuTilingConfig::new(16, 16).with_isa(isa);
                 let mut out = vec![0.0; n];
-                symmetric_group_matvec(&data, &kernel, &sym, n, &v, 0, 1, &mut out);
+                symmetric_group_matvec(isa, &data, &kernel, &sym, n, &v, 0, 1, &mut out);
                 let nosym = sym.with_symmetry(false);
                 let mut rows = vec![0.0; n];
-                full_rows_matvec(&data, &kernel, &nosym, n, &v, 0, &mut rows);
+                full_rows_matvec(isa, &data, &kernel, &nosym, n, &v, 0, &mut rows);
                 for i in 0..n {
                     assert!(
                         (out[i] - reference[i]).abs() < 1e-9,
@@ -495,14 +640,23 @@ mod tests {
         let kernel = KernelSpec::Rbf { gamma: 0.4 };
         let mut reference = vec![0.0; n];
         let base = CpuTilingConfig::new(64, 64).with_symmetry(false);
-        full_rows_matvec(&data, &kernel, &base, n, &v, 0, &mut reference);
+        full_rows_matvec(
+            base.resolved_isa(),
+            &data,
+            &kernel,
+            &base,
+            n,
+            &v,
+            0,
+            &mut reference,
+        );
         for cfg in [
             base.effective_for(n),
             CpuTilingConfig::new(4, 4).with_symmetry(false),
             CpuTilingConfig::new(7, 128).with_symmetry(false),
         ] {
             let mut out = vec![0.0; n];
-            full_rows_matvec(&data, &kernel, &cfg, n, &v, 0, &mut out);
+            full_rows_matvec(cfg.resolved_isa(), &data, &kernel, &cfg, n, &v, 0, &mut out);
             for i in 0..n {
                 assert_eq!(out[i].to_bits(), reference[i].to_bits(), "{cfg:?} row {i}");
             }

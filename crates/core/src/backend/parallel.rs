@@ -129,6 +129,7 @@ impl<T: Real> ParallelBackend<T> {
         let kernel = &self.kernel;
         // problem-size-aware tiles (bit-neutral, see CpuTilingConfig docs)
         let cfg = &self.tiling.effective_for(n);
+        let isa = cfg.resolved_isa();
         let work = self.matvec_evals() * data.cols() as u128;
 
         let run = |out: &mut [T]| {
@@ -144,7 +145,9 @@ impl<T: Real> ParallelBackend<T> {
                         .par_chunks_mut(n)
                         .enumerate()
                         .for_each(|(g, partial)| {
-                            symmetric_group_matvec(data, kernel, cfg, n, v, g, groups, partial);
+                            symmetric_group_matvec(
+                                isa, data, kernel, cfg, n, v, g, groups, partial,
+                            );
                         });
                     // fixed-order reduction: group count and order depend
                     // only on n and the tiling, so the sum is thread-count
@@ -163,7 +166,16 @@ impl<T: Real> ParallelBackend<T> {
                     out.par_chunks_mut(cfg.row_tile)
                         .enumerate()
                         .for_each(|(block, chunk)| {
-                            full_rows_matvec(data, kernel, cfg, n, v, block * cfg.row_tile, chunk);
+                            full_rows_matvec(
+                                isa,
+                                data,
+                                kernel,
+                                cfg,
+                                n,
+                                v,
+                                block * cfg.row_tile,
+                                chunk,
+                            );
                         });
                 }
             })

@@ -69,7 +69,17 @@ impl<T: Real> SerialBackend<T> {
         debug_assert_eq!(out.len(), n);
         out.fill(T::ZERO);
         let cfg = self.tiling.effective_for(n);
-        symmetric_group_matvec(&self.data, &self.kernel, &cfg, n, v, 0, 1, out);
+        symmetric_group_matvec(
+            cfg.resolved_isa(),
+            &self.data,
+            &self.kernel,
+            &cfg,
+            n,
+            v,
+            0,
+            1,
+            out,
+        );
     }
 }
 

@@ -194,7 +194,9 @@ pub fn panel_dist_sq<T: Real>(ra: &[&[T]], rb: &[&[T]]) -> Panel<T> {
 /// The inner products run on the micro-kernels of the given [`Isa`] tier
 /// (see [`crate::simd`]); `Isa::Scalar` reproduces the pre-SIMD engine
 /// bit-for-bit. The transcendental postprocessing is always scalar.
-#[inline]
+/// Always inlined, so a caller compiled per tier (see [`crate::simd`])
+/// runs the postprocessing's `mul_add` as an FMA instruction.
+#[inline(always)]
 pub fn kernel_panel<T: Real>(spec: &KernelSpec<T>, isa: Isa, ra: &[&[T]], rb: &[&[T]]) -> Panel<T> {
     match *spec {
         KernelSpec::Linear => simd::panel_dot(isa, ra, rb),

@@ -31,8 +31,9 @@
 //! precision `T`.
 //!
 //! **Dense kernels.** Three loops carry the factorization cost, each a
-//! plain-Rust body compiled once per ISA tier under `#[target_feature]`
-//! and dispatched on the tier the solve selected:
+//! plain-Rust body compiled once per ISA tier under `#[target_feature]` by
+//! the shared `tiered!` macro of [`crate::simd`], and dispatched once per
+//! call on the tier the solve selected:
 //!
 //! * the capacitance update `S += CᵀD⁻¹C` fills only the lower triangle
 //!   (`m·k²/2` multiply-adds), walking `C` in 256-row blocks that stay in
@@ -80,7 +81,7 @@ use crate::error::SvmError;
 use crate::guard::{solve_with_guardrails, GuardedSolve, JacobiDiagonal, RecoveryPolicy};
 use crate::kernel::{dot, kernel_panel, PANEL_MR, PANEL_NR};
 use crate::matrix_free::QTildeParams;
-use crate::simd::Isa;
+use crate::simd::{tiered, Isa};
 use crate::trace::{
     CgIterationSample, CgOutcomeSample, LowRankSample, MetricsSink, RecoveryKind, RecoverySample,
 };
@@ -195,49 +196,6 @@ const CAP_ROW_BLOCK: usize = 256;
 const CAP_TILE_ROWS: usize = 4;
 /// Columns of that tile: two f64×8 vectors per row on AVX-512.
 const CAP_TILE_COLS: usize = 16;
-
-/// Defines `$name(isa, args…)`, which runs the plain-Rust kernel `$body`
-/// compiled under `#[target_feature]` for the AVX-512 and AVX2 tiers and
-/// calls it directly on every other tier. The bodies never fuse a
-/// multiply and an add that the scalar build keeps apart, and every
-/// `mul_add` is correctly rounded in hardware and in libm alike, so all
-/// tiers compute the same bits; only the vector width changes.
-macro_rules! tiered {
-    (
-        $(#[$doc:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
-    ) => {
-        $(#[$doc])*
-        fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            {
-                /// # Safety
-                /// The CPU must support AVX-512F.
-                #[target_feature(enable = "avx512f")]
-                unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
-                    $body($($arg),*)
-                }
-                /// # Safety
-                /// The CPU must support AVX2 and FMA.
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
-                    $body($($arg),*)
-                }
-                match isa.clamp_supported() {
-                    // SAFETY: `clamp_supported` only returns a tier whose
-                    // features the running CPU reports.
-                    Isa::Avx512 => return unsafe { avx512($($arg),*) },
-                    // SAFETY: as above.
-                    Isa::Avx2 => return unsafe { avx2($($arg),*) },
-                    _ => {}
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            let _ = isa;
-            $body($($arg),*)
-        }
-    };
-}
 
 /// Assembles the kernel block `out[i][j] = k(rows_a[i], rows_b[j])`
 /// through the panel micro-kernel, upcast to f64 (row-major

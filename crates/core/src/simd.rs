@@ -36,6 +36,27 @@
 //! * Different tiers group the FMA chain differently and may differ from
 //!   scalar by a few ULP — the same reassociation tolerance the
 //!   cross-backend conformance suite already admits.
+//!
+//! # Where tier dispatch happens
+//!
+//! The panel primitives above dispatch per call. The loops around them are
+//! plain Rust compiled a second and third time, under
+//! `#[target_feature(enable = "avx512f")]` and `"avx2,fma"`, by the
+//! crate-internal `tiered!` macro, and dispatched once per parallel task:
+//!
+//! * the matvec tile loops of [`crate::backend::cpu_blocked`], once per
+//!   partial group of the symmetric schedule (diagonal straddle blocks,
+//!   off-diagonal tiles and their mirror updates) and once per row chunk
+//!   of the full-rows schedule;
+//! * the prediction loop behind [`crate::svm::kernel_expansion`], once per
+//!   query share (predict, `svm-serve`, multi-class and SVR);
+//! * the dense Nyström kernels of [`crate::lowrank`], once per call.
+//!
+//! Compiled for the portable target, every `mul_add` outside the hand
+//! vectorized kernels is a call into libm's `fma`; inside a tier it is one
+//! FMA instruction. Both round once, and Rust never contracts `a*b + c`,
+//! so a tier computes the same bits either way: compiling a loop per tier
+//! changes its speed and never its results.
 
 use crate::kernel::{self, Panel, PANEL_MR, PANEL_NR};
 use plssvm_data::Real;
@@ -211,6 +232,93 @@ impl std::fmt::Display for Isa {
         f.write_str(self.name())
     }
 }
+
+/// Defines a function that runs the plain-Rust body `$body` compiled under
+/// `#[target_feature]` for the AVX-512 and AVX2 tiers and calls it directly
+/// on every other tier (and on every non-x86 target).
+///
+/// ```text
+/// tiered! {
+///     /// docs
+///     pub(crate) fn name<T: Real>(isa: Isa, a: &[T]) -> T = name_body;
+/// }
+/// ```
+///
+/// The first parameter must be `<ident>: Isa`: dispatch matches on it
+/// (clamped to what the host supports) and it is passed on to the body,
+/// which can hand it to the panel micro-kernels. A signature whose first
+/// parameter is not an `Isa` gets one named `isa` prepended for dispatch
+/// alone and not passed on. Bodies should be `#[inline(always)]` so their
+/// whole call tree — the tile loops, [`crate::kernel::kernel_panel`] and
+/// its epilogue — compiles inside the tier's features, where every
+/// `mul_add` is one FMA instruction instead of a libm call.
+///
+/// Rust never contracts `a*b + c`, and `mul_add` is correctly rounded in
+/// hardware and in libm alike, so a tiered body computes the same bits as
+/// the plain body on every tier; only the instructions change. Dispatch
+/// costs one match, so call a tiered function once per parallel task, not
+/// per panel.
+macro_rules! tiered {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident $(<$($g:ident: $b:ident),+>)?
+            ($isa:ident: Isa $(, $arg:ident: $ty:ty)* $(,)?) $(-> $ret:ty)? = $body:ident;
+    ) => {
+        $crate::simd::tiered! {
+            @emit [$(#[$attr])*] [$vis] $name [$($($g: $b),+)?] $isa
+            [$isa: $crate::simd::Isa $(, $arg: $ty)*]
+            [$isa: $crate::simd::Isa $(, $arg: $ty)*] $(-> $ret)? = $body
+        }
+    };
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident $(<$($g:ident: $b:ident),+>)?
+            ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:ident;
+    ) => {
+        $crate::simd::tiered! {
+            @emit [$(#[$attr])*] [$vis] $name [$($($g: $b),+)?] isa
+            [isa: $crate::simd::Isa $(, $arg: $ty)*]
+            [$($arg: $ty),*] $(-> $ret)? = $body
+        }
+    };
+    (
+        @emit [$(#[$attr:meta])*] [$vis:vis] $name:ident [$($g:ident: $b:ident),*] $isa:ident
+        [$($warg:ident: $wty:ty),*] [$($arg:ident: $ty:ty),*] $(-> $ret:ty)? = $body:ident
+    ) => {
+        $(#[$attr])*
+        $vis fn $name<$($g: $b),*>($($warg: $wty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                /// # Safety
+                /// The CPU must support AVX-512F.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx512f")]
+                unsafe fn avx512<$($g: $b),*>($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                /// # Safety
+                /// The CPU must support AVX2 and FMA.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx2,fma")]
+                unsafe fn avx2<$($g: $b),*>($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                match $isa.clamp_supported() {
+                    // SAFETY: `clamp_supported` only returns a tier whose
+                    // features the running CPU reports.
+                    $crate::simd::Isa::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above.
+                    $crate::simd::Isa::Avx2 => return unsafe { avx2($($arg),*) },
+                    _ => {}
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            let _ = $isa;
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use tiered;
 
 #[inline]
 fn same<T: 'static, U: 'static>() -> bool {

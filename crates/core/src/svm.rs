@@ -32,7 +32,7 @@ use crate::guard::{
 use crate::kernel::kernel_row;
 use crate::lowrank::{solve_lowrank, SolverSelection};
 use crate::matrix_free::{bias, full_alpha, reduced_rhs};
-use crate::simd::Isa;
+use crate::simd::{tiered, Isa};
 use crate::timing::ComponentTimes;
 use crate::trace::{spans, MetricsSink, RecoveryKind, SpanRecorder, Telemetry, TelemetryReport};
 
@@ -268,6 +268,17 @@ impl<T: AtomicScalar> LsSvm<T> {
     /// Trains on an in-memory data set (the `read` component is zero).
     pub fn train(&self, data: &LabeledData<T>) -> Result<TrainOutput<T>, SvmError> {
         self.train_classifier(data, Duration::ZERO, None)
+    }
+
+    /// [`LsSvm::train`] on data the caller parsed, reporting `read` (the
+    /// time that parse took) as the `read` component, so a caller that
+    /// must inspect the file before training still parses it only once.
+    pub fn train_parsed(
+        &self,
+        data: &LabeledData<T>,
+        read: Duration,
+    ) -> Result<TrainOutput<T>, SvmError> {
+        self.train_classifier(data, read, None)
     }
 
     /// Trains from a LIBSVM data file, timing the `read` component, and
@@ -761,18 +772,31 @@ pub fn kernel_expansion<T: Real>(
         let share = blocks.div_ceil(rayon::current_num_threads()).max(1) * PANEL_NR;
         out.par_chunks_mut(share)
             .enumerate()
-            .for_each(|(s, rows)| expand_share(kernel, isa, sv, coef, x, s * share, rows));
+            .for_each(|(s, rows)| expand_share(isa, kernel, sv, coef, x, s * share, rows));
     });
     out
 }
 
-/// [`kernel_expansion`] for the query rows `first..first + out.len()`
-/// (`first` a multiple of 4), accumulating into `out`: the SV tiles are
-/// the outer loop, so a tile stays in cache while every query block of the
-/// share sweeps it.
-fn expand_share<T: Real>(
-    kernel: &KernelSpec<T>,
+tiered! {
+    /// [`kernel_expansion`] for the query rows `first..first + out.len()`
+    /// (`first` a multiple of 4), accumulating into `out`: the SV tiles are
+    /// the outer loop, so a tile stays in cache while every query block of
+    /// the share sweeps it. Compiled for the tier `isa`.
+    fn expand_share<T: Real>(
+        isa: Isa,
+        kernel: &KernelSpec<T>,
+        sv: &DenseMatrix<T>,
+        coef: &[T],
+        x: &DenseMatrix<T>,
+        first: usize,
+        out: &mut [T],
+    ) = expand_share_body;
+}
+
+#[inline(always)]
+fn expand_share_body<T: Real>(
     isa: Isa,
+    kernel: &KernelSpec<T>,
     sv: &DenseMatrix<T>,
     coef: &[T],
     x: &DenseMatrix<T>,
@@ -882,6 +906,59 @@ mod tests {
                 .with_flip_fraction(0.0),
         )
         .unwrap()
+    }
+
+    /// Every tier's compiled prediction loop gives the bits of the plain
+    /// body called directly, over lone rows, partial panels and ragged SV
+    /// tails.
+    #[test]
+    fn tiered_kernel_expansion_matches_its_plain_body_bit_for_bit() {
+        fn noisy<T: Real>(len: usize, salt: usize) -> Vec<T> {
+            (0..len)
+                .map(|i| T::from_f64(((i * 7 + salt * 13) as f64 * 0.618).sin()))
+                .collect()
+        }
+        fn check<T: Real>() {
+            let r = T::from_f64;
+            let kernels = [
+                KernelSpec::Linear,
+                KernelSpec::Polynomial {
+                    degree: 3,
+                    gamma: r(0.1),
+                    coef0: r(0.5),
+                },
+                KernelSpec::Rbf { gamma: r(0.05) },
+                KernelSpec::Sigmoid {
+                    gamma: r(0.1),
+                    coef0: r(-0.2),
+                },
+            ];
+            let d = 19;
+            let bias = r(0.25);
+            for m in [1usize, 3, 5, 37, 67] {
+                let sv = DenseMatrix::from_vec(m, d, noisy::<T>(m * d, 1));
+                let coef = noisy::<T>(m, 2);
+                for q in [1usize, 3, 5, 37, 67] {
+                    let x = DenseMatrix::from_vec(q, d, noisy::<T>(q * d, 3));
+                    for kernel in &kernels {
+                        for isa in Isa::available() {
+                            let tiered = kernel_expansion(kernel, isa, &sv, &coef, bias, &x);
+                            let mut plain = vec![bias; q];
+                            expand_share_body(isa, kernel, &sv, &coef, &x, 0, &mut plain);
+                            for (i, (t, p)) in tiered.iter().zip(&plain).enumerate() {
+                                assert_eq!(
+                                    t.to_f64().to_bits(),
+                                    p.to_f64().to_bits(),
+                                    "{kernel:?} {isa} m={m} q={q} row {i}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        check::<f32>();
+        check::<f64>();
     }
 
     #[test]

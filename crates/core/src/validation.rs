@@ -13,8 +13,20 @@ use plssvm_data::libsvm::LabeledData;
 use plssvm_data::Real;
 use plssvm_simgpu::device::AtomicScalar;
 
+use crate::cg::SolveOutcome;
 use crate::error::SvmError;
 use crate::svm::{predict, LsSvm};
+
+/// How one fold's training solve ended.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FoldSolve {
+    /// Why the solve stopped.
+    pub outcome: SolveOutcome,
+    /// Final `‖r‖/‖r₀‖`.
+    pub relative_residual: f64,
+    /// CG iterations performed.
+    pub iterations: usize,
+}
 
 /// Cross-validation outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +34,8 @@ pub struct CvResult {
     /// Accuracy per fold (fraction of the fold's points classified
     /// correctly).
     pub fold_accuracies: Vec<f64>,
+    /// How each fold's solve ended, in fold order.
+    pub fold_solves: Vec<FoldSolve>,
     /// Pooled accuracy over all points (what LIBSVM prints).
     pub accuracy: f64,
 }
@@ -61,6 +75,7 @@ pub fn cross_validate<T: AtomicScalar>(
     }
     let fold_of = stratified_folds(data, folds, seed);
     let mut fold_accuracies = Vec::with_capacity(folds);
+    let mut fold_solves = Vec::with_capacity(folds);
     let mut correct_total = 0usize;
 
     for fold in 0..folds {
@@ -79,6 +94,11 @@ pub fn cross_validate<T: AtomicScalar>(
             data.label_map,
         )?;
         let out = trainer.train(&train)?;
+        fold_solves.push(FoldSolve {
+            outcome: out.outcome,
+            relative_residual: out.relative_residual,
+            iterations: out.iterations,
+        });
         let test_x = data.x.select_rows(&test_idx);
         let predictions = predict(&out.model, &test_x);
         let correct = predictions
@@ -91,6 +111,7 @@ pub fn cross_validate<T: AtomicScalar>(
     }
     Ok(CvResult {
         fold_accuracies,
+        fold_solves,
         accuracy: correct_total as f64 / data.points() as f64,
     })
 }

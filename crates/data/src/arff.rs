@@ -11,7 +11,7 @@ use std::path::Path;
 
 use crate::dense::DenseMatrix;
 use crate::error::DataError;
-use crate::libsvm::LabeledData;
+use crate::libsvm::{text_capacity, FmtReal, LabeledData};
 use crate::real::Real;
 
 /// Parses ARFF content into a (binary) labeled data set. The last
@@ -172,20 +172,23 @@ pub fn read_arff_file<T: Real>(path: impl AsRef<Path>) -> Result<LabeledData<T>,
 
 /// Serializes a data set in ARFF format (dense rows).
 pub fn write_arff_string<T: Real>(data: &LabeledData<T>, relation: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("@RELATION {relation}\n\n"));
+    use std::fmt::Write;
+    let mut out = String::with_capacity(text_capacity(data.points(), data.features()));
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "@RELATION {relation}\n\n");
     for f in 0..data.features() {
-        out.push_str(&format!("@ATTRIBUTE feature_{f} NUMERIC\n"));
+        let _ = writeln!(out, "@ATTRIBUTE feature_{f} NUMERIC");
     }
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         "@ATTRIBUTE class {{{},{}}}\n\n@DATA\n",
         data.label_map[0], data.label_map[1]
-    ));
+    );
     for (p, row) in data.x.rows_iter().enumerate() {
         for &v in row {
-            out.push_str(&format!("{},", crate::libsvm::FmtReal(v)));
+            let _ = write!(out, "{},", FmtReal(v));
         }
-        out.push_str(&format!("{}\n", data.original_label(data.y[p])));
+        let _ = writeln!(out, "{}", data.original_label(data.y[p]));
     }
     out
 }

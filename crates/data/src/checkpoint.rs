@@ -413,10 +413,10 @@ pub struct SkippedGeneration {
 ///
 /// Each [`append`](CheckpointJournal::append) writes
 /// `gen-<number>.ckpt` atomically and durably, then prunes generations
-/// older than the retention window. [`load_latest`]
-/// (CheckpointJournal::load_latest) walks generations newest-first and
-/// returns the first one that verifies, reporting every damaged file it
-/// skipped on the way.
+/// older than the retention window.
+/// [`load_latest`](CheckpointJournal::load_latest) walks generations
+/// newest-first and returns the first one that verifies, reporting every
+/// damaged file it skipped on the way.
 #[derive(Debug, Clone)]
 pub struct CheckpointJournal {
     dir: PathBuf,

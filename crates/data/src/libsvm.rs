@@ -235,16 +235,9 @@ pub fn read_libsvm_regression_file<T: Real>(
 
 /// Serializes a regression data set (targets as labels).
 pub fn write_libsvm_regression_string<T: Real>(data: &RegressionData<T>, sparse: bool) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(text_capacity(data.x.rows(), data.x.cols()));
     for (p, row) in data.x.rows_iter().enumerate() {
-        out.push_str(&format!("{}", FmtReal(data.y[p])));
-        for (f, &v) in row.iter().enumerate() {
-            if sparse && v.to_f64() == 0.0 {
-                continue;
-            }
-            out.push_str(&format!(" {}:{}", f + 1, FmtReal(v)));
-        }
-        out.push('\n');
+        write_libsvm_line(&mut out, FmtReal(data.y[p]), row, sparse);
     }
     out
 }
@@ -417,17 +410,9 @@ fn parse_label(tok: &str) -> Option<i32> {
 /// With `sparse == true` zero entries are omitted (standard LIBSVM files);
 /// otherwise every feature is written (dense-LIBSVM style).
 pub fn write_libsvm_string<T: Real>(data: &LabeledData<T>, sparse: bool) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(text_capacity(data.points(), data.features()));
     for (p, row) in data.x.rows_iter().enumerate() {
-        let label = data.original_label(data.y[p]);
-        out.push_str(&label.to_string());
-        for (f, &v) in row.iter().enumerate() {
-            if sparse && v.to_f64() == 0.0 {
-                continue;
-            }
-            out.push_str(&format!(" {}:{}", f + 1, FmtReal(v)));
-        }
-        out.push('\n');
+        write_libsvm_line(&mut out, data.original_label(data.y[p]), row, sparse);
     }
     out
 }
@@ -441,6 +426,36 @@ pub fn write_libsvm_file<T: Real>(
     sparse: bool,
 ) -> Result<(), DataError> {
     crate::io::write_atomic(path, write_libsvm_string(data, sparse).as_bytes())
+}
+
+/// Appends one LIBSVM line to `out`: `head` (a label, target or
+/// coefficient), then ` index:value` for every feature of `row` (1-based),
+/// skipping zeros when `sparse`, then a newline. Every LIBSVM data and model
+/// writer goes through here, formatting straight into one buffer instead
+/// of allocating a string per value.
+pub(crate) fn write_libsvm_line<T: Real>(
+    out: &mut String,
+    head: impl std::fmt::Display,
+    row: &[T],
+    sparse: bool,
+) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{head}");
+    for (f, &v) in row.iter().enumerate() {
+        if sparse && v.to_f64() == 0.0 {
+            continue;
+        }
+        let _ = write!(out, " {}:{}", f + 1, FmtReal(v));
+    }
+    out.push('\n');
+}
+
+/// A starting capacity for the text of `rows × cols` values: about 24
+/// bytes per `index:value` pair, so a dense file of shortest round-trip
+/// f64 values fills the buffer without regrowing it.
+pub(crate) fn text_capacity(rows: usize, cols: usize) -> usize {
+    rows.saturating_mul(cols + 1).saturating_mul(24)
 }
 
 /// Formats a real so that it round-trips exactly through `parse` while

@@ -17,7 +17,7 @@ use std::path::Path;
 use crate::dense::DenseMatrix;
 use crate::error::{DataError, MAX_FEATURE_INDEX};
 use crate::io::write_atomic;
-use crate::libsvm::{token_column, FmtReal};
+use crate::libsvm::{text_capacity, token_column, write_libsvm_line, FmtReal};
 use crate::real::Real;
 
 /// The kernel function selection with its hyperparameters (§II-E).
@@ -167,46 +167,17 @@ impl<T: Real> SvmModel<T> {
 
     /// Serializes the model into the LIBSVM text format.
     pub fn to_model_string(&self) -> String {
-        let mut out = String::new();
+        use std::fmt::Write;
+        let mut out = String::with_capacity(text_capacity(self.sv.rows(), self.sv.cols()));
+        // Writing into a `String` cannot fail.
         out.push_str("svm_type c_svc\n");
-        out.push_str(&format!("kernel_type {}\n", self.kernel.name()));
-        match self.kernel {
-            KernelSpec::Linear => {}
-            KernelSpec::Polynomial {
-                degree,
-                gamma,
-                coef0,
-            } => {
-                out.push_str(&format!("degree {degree}\n"));
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-                out.push_str(&format!("coef0 {}\n", FmtReal(coef0)));
-            }
-            KernelSpec::Rbf { gamma } => {
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-            }
-            KernelSpec::Sigmoid { gamma, coef0 } => {
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-                out.push_str(&format!("coef0 {}\n", FmtReal(coef0)));
-            }
-        }
+        write_kernel_header(&mut out, &self.kernel);
         out.push_str("nr_class 2\n");
-        out.push_str(&format!("total_sv {}\n", self.total_sv()));
-        out.push_str(&format!("rho {}\n", FmtReal(self.rho)));
-        out.push_str(&format!("label {} {}\n", self.labels[0], self.labels[1]));
-        out.push_str(&format!("nr_sv {} {}\n", self.nr_sv[0], self.nr_sv[1]));
-        if let Some(solver) = &self.solver {
-            out.push_str(&format!("solver {solver}\n"));
-        }
-        out.push_str("SV\n");
-        for (i, row) in self.sv.rows_iter().enumerate() {
-            out.push_str(&format!("{}", FmtReal(self.coef[i])));
-            for (f, &v) in row.iter().enumerate() {
-                if v.to_f64() != 0.0 {
-                    out.push_str(&format!(" {}:{}", f + 1, FmtReal(v)));
-                }
-            }
-            out.push('\n');
-        }
+        let _ = writeln!(out, "total_sv {}", self.total_sv());
+        let _ = writeln!(out, "rho {}", FmtReal(self.rho));
+        let _ = writeln!(out, "label {} {}", self.labels[0], self.labels[1]);
+        let _ = writeln!(out, "nr_sv {} {}", self.nr_sv[0], self.nr_sv[1]);
+        write_sv_block(&mut out, self.solver.as_deref(), &self.coef, &self.sv);
         out
     }
 
@@ -234,6 +205,51 @@ impl<T: Real> SvmModel<T> {
         let path = path.as_ref();
         let file = File::open(path).map_err(|e| DataError::io_path(path, e))?;
         parse_model(BufReader::new(file).lines()).map_err(|e| e.with_path(path))
+    }
+}
+
+/// Writes the `kernel_type` line and the kernel's hyperparameter lines.
+fn write_kernel_header<T: Real>(out: &mut String, kernel: &KernelSpec<T>) {
+    use std::fmt::Write;
+    // Writing into a `String` cannot fail.
+    let _ = writeln!(out, "kernel_type {}", kernel.name());
+    match *kernel {
+        KernelSpec::Linear => {}
+        KernelSpec::Polynomial {
+            degree,
+            gamma,
+            coef0,
+        } => {
+            let _ = writeln!(out, "degree {degree}");
+            let _ = writeln!(out, "gamma {}", FmtReal(gamma));
+            let _ = writeln!(out, "coef0 {}", FmtReal(coef0));
+        }
+        KernelSpec::Rbf { gamma } => {
+            let _ = writeln!(out, "gamma {}", FmtReal(gamma));
+        }
+        KernelSpec::Sigmoid { gamma, coef0 } => {
+            let _ = writeln!(out, "gamma {}", FmtReal(gamma));
+            let _ = writeln!(out, "coef0 {}", FmtReal(coef0));
+        }
+    }
+}
+
+/// Writes the optional `solver` line, then `SV` and one
+/// `coefficient index:value …` line per support vector (zeros omitted).
+fn write_sv_block<T: Real>(
+    out: &mut String,
+    solver: Option<&str>,
+    coef: &[T],
+    sv: &DenseMatrix<T>,
+) {
+    if let Some(solver) = solver {
+        out.push_str("solver ");
+        out.push_str(solver);
+        out.push('\n');
+    }
+    out.push_str("SV\n");
+    for (i, row) in sv.rows_iter().enumerate() {
+        write_libsvm_line(out, FmtReal(coef[i]), row, true);
     }
 }
 
@@ -502,44 +518,15 @@ impl<T: Real> SvrModel<T> {
 
     /// Serializes into LIBSVM's `epsilon_svr` text layout.
     pub fn to_model_string(&self) -> String {
-        let mut out = String::new();
+        use std::fmt::Write;
+        let mut out = String::with_capacity(text_capacity(self.sv.rows(), self.sv.cols()));
+        // Writing into a `String` cannot fail.
         out.push_str("svm_type epsilon_svr\n");
-        out.push_str(&format!("kernel_type {}\n", self.kernel.name()));
-        match self.kernel {
-            KernelSpec::Linear => {}
-            KernelSpec::Polynomial {
-                degree,
-                gamma,
-                coef0,
-            } => {
-                out.push_str(&format!("degree {degree}\n"));
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-                out.push_str(&format!("coef0 {}\n", FmtReal(coef0)));
-            }
-            KernelSpec::Rbf { gamma } => {
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-            }
-            KernelSpec::Sigmoid { gamma, coef0 } => {
-                out.push_str(&format!("gamma {}\n", FmtReal(gamma)));
-                out.push_str(&format!("coef0 {}\n", FmtReal(coef0)));
-            }
-        }
+        write_kernel_header(&mut out, &self.kernel);
         out.push_str("nr_class 2\n"); // LIBSVM writes 2 for SVR as well
-        out.push_str(&format!("total_sv {}\n", self.total_sv()));
-        out.push_str(&format!("rho {}\n", FmtReal(self.rho)));
-        if let Some(solver) = &self.solver {
-            out.push_str(&format!("solver {solver}\n"));
-        }
-        out.push_str("SV\n");
-        for (i, row) in self.sv.rows_iter().enumerate() {
-            out.push_str(&format!("{}", FmtReal(self.coef[i])));
-            for (f, &v) in row.iter().enumerate() {
-                if v.to_f64() != 0.0 {
-                    out.push_str(&format!(" {}:{}", f + 1, FmtReal(v)));
-                }
-            }
-            out.push('\n');
-        }
+        let _ = writeln!(out, "total_sv {}", self.total_sv());
+        let _ = writeln!(out, "rho {}", FmtReal(self.rho));
+        write_sv_block(&mut out, self.solver.as_deref(), &self.coef, &self.sv);
         out
     }
 

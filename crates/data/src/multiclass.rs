@@ -114,13 +114,70 @@ impl<T: Real> MultiClassData<T> {
     }
 }
 
+/// A classification file parsed once: [`Classes::Binary`] when it holds at
+/// most two labels, [`Classes::Multi`] otherwise.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Classes<T> {
+    /// At most two labels: exactly what [`crate::libsvm::read_libsvm_file`]
+    /// returns for the file (first label seen maps to +1).
+    Binary(LabeledData<T>),
+    /// More than two labels.
+    Multi(MultiClassData<T>),
+}
+
+/// Parses a LIBSVM classification file once and keeps it binary or
+/// multi-class by its label count. A file with more than two labels
+/// parses as [`read_libsvm_multiclass_file`] does; any other file gives
+/// the data, or the error, of [`crate::libsvm::read_libsvm_file`].
+pub fn read_libsvm_classes_file<T: Real>(path: impl AsRef<Path>) -> Result<Classes<T>, DataError> {
+    let path = path.as_ref();
+    let content = std::fs::read_to_string(path).map_err(|e| DataError::io_path(path, e))?;
+    let (data, unordered) = parse_multiclass::<T>(&content, None)?;
+    if data.num_classes() > 2 {
+        return Ok(Classes::Multi(data));
+    }
+    if let Some(e) = unordered {
+        return Err(e.with_path(path));
+    }
+    // order-of-appearance mapping, as the binary reader does: the first
+    // label maps to +1; a one-class file maps -1 to the complement
+    let first = data.labels[0];
+    let second = data
+        .labels
+        .iter()
+        .copied()
+        .find(|&l| l != first)
+        .unwrap_or(if first == 1 { -1 } else { 1 });
+    let y = data
+        .labels
+        .iter()
+        .map(|&l| if l == first { T::ONE } else { -T::ONE })
+        .collect();
+    Ok(Classes::Binary(LabeledData::with_label_map(
+        data.x,
+        y,
+        [first, second],
+    )?))
+}
+
 /// Parses LIBSVM content with any number of integer labels.
 pub fn read_libsvm_multiclass_str<T: Real>(
     content: &str,
     num_features: Option<usize>,
 ) -> Result<MultiClassData<T>, DataError> {
+    parse_multiclass(content, num_features).map(|(data, _)| data)
+}
+
+/// The multi-class parser. Alongside the data it returns the error the
+/// binary reader raises at the first feature index that does not
+/// increase strictly along its line; multi-class input tolerates those.
+fn parse_multiclass<T: Real>(
+    content: &str,
+    num_features: Option<usize>,
+) -> Result<(MultiClassData<T>, Option<DataError>), DataError> {
     let mut rows: Vec<(i32, Vec<(usize, T)>)> = Vec::new();
     let mut max_index = 0usize;
+    let mut unordered = None;
     for (lineno, line) in content.lines().enumerate() {
         let lineno = lineno + 1;
         let line = line.trim();
@@ -168,6 +225,13 @@ pub fn read_libsvm_multiclass_str<T: Real>(
             let val: T = val_s.trim().parse().map_err(|_| {
                 DataError::parse_at(lineno, col, format!("invalid value '{val_s}'"))
             })?;
+            if unordered.is_none() && entries.last().is_some_and(|&(prev, _)| idx - 1 <= prev) {
+                unordered = Some(DataError::parse_at(
+                    lineno,
+                    col,
+                    format!("feature indices must be strictly increasing (index {idx})"),
+                ));
+            }
             max_index = max_index.max(idx);
             entries.push((idx - 1, val));
         }
@@ -201,7 +265,7 @@ pub fn read_libsvm_multiclass_str<T: Real>(
             row[idx] = val;
         }
     }
-    MultiClassData::new(x, labels)
+    Ok((MultiClassData::new(x, labels)?, unordered))
 }
 
 /// Reads a multi-class LIBSVM file from disk.
@@ -217,6 +281,45 @@ pub fn read_libsvm_multiclass_file<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn classes_reader_parses_once_as_the_binary_or_multiclass_reader_would() {
+        let dir = std::env::temp_dir().join("plssvm_data_classes_reader");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cases = [
+            ("binary", "-1 1:0.5 3:1e-3\n+1 2:2\n\n# note\n-1 1:7\n"),
+            ("one_class", "2 1:0.25 2:1\n2 2:-3\n"),
+            ("unordered", "1 1:1 3:2\n-1 3:1 2:5\n"),
+            ("repeated", "1 2:1 2:2\n-1 1:1\n"),
+            ("bad_value", "1 1:x\n-1 1:1\n"),
+            ("empty", "\n"),
+        ];
+        for (name, content) in cases {
+            let path = dir.join(format!("{name}.libsvm"));
+            std::fs::write(&path, content).unwrap();
+            let once = read_libsvm_classes_file::<f64>(&path);
+            let binary = crate::libsvm::read_libsvm_file::<f64>(&path, None);
+            match (once, binary) {
+                (Ok(Classes::Binary(got)), Ok(want)) => assert_eq!(got, want, "{name}"),
+                (Err(got), Err(want)) => {
+                    // the multi-class parser reports the syntax errors
+                    // first, as svm-train always has
+                    let multi = read_libsvm_multiclass_file::<f64>(&path, None);
+                    let want = multi.err().unwrap_or(want).to_string();
+                    assert_eq!(got.to_string(), want, "{name}");
+                }
+                (got, want) => panic!("{name}: {got:?} vs {want:?}"),
+            }
+        }
+        let path = dir.join("three.libsvm");
+        std::fs::write(&path, "3 1:1\n1 2:1 1:2\n2 1:0.5\n").unwrap();
+        match read_libsvm_classes_file::<f64>(&path).unwrap() {
+            Classes::Multi(got) => {
+                assert_eq!(got, read_libsvm_multiclass_file(&path, None).unwrap())
+            }
+            other => panic!("three labels read as {other:?}"),
+        }
+    }
 
     const SAMPLE: &str = "\
 3 1:1 2:0.5

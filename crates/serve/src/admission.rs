@@ -55,8 +55,8 @@ impl ServerControl {
     }
 
     /// Tries to admit a connection. `stream`, when given, is a *second*
-    /// handle to the connection's socket kept so [`begin_drain`]
-    /// (`ServerControl::begin_drain`) can wake its blocked reader; pass
+    /// handle to the connection's socket kept so
+    /// [`begin_drain`](Self::begin_drain) can wake its blocked reader; pass
     /// `None` for non-socket transports. Returns `None` when the server
     /// is at its cap or draining — the caller refuses the connection.
     pub fn register(&self, stream: Option<TcpStream>) -> Option<ConnGuard<'_>> {

@@ -20,7 +20,7 @@
 //!   bytes or an endless unterminated line gets a structured error and
 //!   a close, never a pinned thread.
 //! * [`serve_tcp`] admits connections through a
-//!   [`ServerControl`](crate::admission::ServerControl): past
+//!   [`ServerControl`]: past
 //!   `--max-connections` the accept loop answers one structured JSON
 //!   error line and closes instead of spawning an unbounded thread.
 //! * The `shutdown` control line (or the `stop` flag, wired to
