@@ -578,7 +578,7 @@ fn run_train_multiclass(
     // the worst subproblem outcome drives the --on-nonconverged policy
     let mut warning = None;
     let non_converged = out.non_converged();
-    if let Some(((a, b), worst)) = non_converged.first().copied() {
+    if let Some(((a, b), worst, relative_residual)) = non_converged.first().copied() {
         let pair = if b == i32::MIN {
             format!("{a} vs rest")
         } else {
@@ -588,7 +588,7 @@ fn run_train_multiclass(
             NonConvergedAction::Error => {
                 return Err(Box::new(SvmError::NonConverged {
                     outcome: worst,
-                    relative_residual: f64::NAN,
+                    relative_residual,
                     iterations: out.total_iterations,
                 }))
             }
@@ -1713,6 +1713,17 @@ mod tests {
         let msg = run_train(&train).unwrap();
         assert!(msg.contains("solver outcome: converged"), "{msg}");
         assert!(model.exists());
+
+        // multi-class input reports the first failing subproblem's residual
+        let blobs = multiclass_file("nonconverged_mc");
+        let err = train_error(&blobs, &["-e", "1e-300", "--on-nonconverged", "error"]);
+        let residual: f64 = err
+            .split("relative residual ")
+            .nth(1)
+            .and_then(|s| s.strip_suffix(')'))
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no relative residual in {err:?}"));
+        assert!(residual.is_finite() && !err.contains("NaN"), "{err}");
     }
 
     fn planes_file(dir: &std::path::Path, points: &str, seed: &str) -> std::path::PathBuf {

@@ -206,6 +206,25 @@ fn a_fault_plan_that_stops_every_device_exits_1_not_101() {
     assert!(!model.exists());
 }
 
+#[test]
+fn multiclass_input_with_a_repeated_feature_index_exits_1() {
+    let dir = tmpdir("mc_repeated_index");
+    let data = dir.join("train.dat");
+    let model = dir.join("train.model");
+    std::fs::write(&data, "3 1:0.5\n2 1:-1 2:1\n1 2:1 2:5\n3 2:2\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_svm-train"))
+        .args([data.to_str().unwrap(), model.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 3, column 7: feature indices must be strictly increasing"),
+        "{stderr}"
+    );
+    assert!(!model.exists());
+}
+
 /// Like [`run`], with extra environment variables set for the child —
 /// the only race-free way to test `PLSSVM_FORCE_ISA` (mutating the
 /// parent's environment would leak across parallel tests).

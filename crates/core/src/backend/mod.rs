@@ -149,20 +149,6 @@ impl BackendSelection {
         }
     }
 
-    /// A multi-node cluster with default tiling and throughput-balanced
-    /// feature split.
-    pub fn sim_cluster(
-        nodes: Vec<plssvm_simgpu::NodeConfig>,
-        interconnect: plssvm_simgpu::Interconnect,
-    ) -> Self {
-        BackendSelection::SimCluster {
-            nodes,
-            interconnect,
-            tiling: simgpu::TilingConfig::default(),
-            balance: true,
-        }
-    }
-
     /// Human-readable backend name for reports.
     pub fn name(&self) -> String {
         match self {

@@ -12,6 +12,10 @@
 //! provided by one of the [`crate::backend`]s, which is where all the
 //! parallelism lives; the vector updates here are `O(m)` and negligible
 //! (the paper measures the matvec at >92 % of total runtime).
+//!
+//! [`conjugate_gradients`] is the one entry point: Jacobi preconditioning,
+//! telemetry, warm restart and a checkpoint hook are optional arguments to
+//! the same recurrence.
 
 use std::time::{Duration, Instant};
 
@@ -26,19 +30,6 @@ pub trait LinOp<T: Real>: Sync {
     fn dim(&self) -> usize;
     /// Computes `out = A·v`. `v` and `out` have length [`LinOp::dim`].
     fn apply(&self, v: &[T], out: &mut [T]);
-}
-
-/// A destination for periodic [`CgState`] snapshots — the hook the durable
-/// checkpoint journal plugs into (see `plssvm_data::checkpoint`).
-///
-/// `persist` is called once per [`CgConfig::checkpoint_interval`]
-/// iterations with the complete solver state. Implementations must handle
-/// their own failures (log, count, emit telemetry): persistence problems
-/// must never abort a numerically healthy solve, so `persist` does not
-/// return a `Result`.
-pub trait CheckpointSink<T: Real>: Sync {
-    /// Persists one snapshot of the running solve.
-    fn persist(&self, state: &CgState<T>);
 }
 
 /// CG solver configuration.
@@ -114,9 +105,9 @@ impl<T: Real> CgConfig<T> {
 /// continue exactly where it stopped.
 ///
 /// Taken by the solver when [`CgConfig::checkpoint_interval`] is set and
-/// resumed with [`conjugate_gradients_resume`]. The state is tiny — three
-/// `n`-vectors plus four scalars — which is what makes checkpointing the
-/// solve essentially free compared to the matvec it protects.
+/// resumed by passing it to [`conjugate_gradients`]. The state is tiny —
+/// three `n`-vectors plus four scalars — which is what makes checkpointing
+/// the solve essentially free compared to the matvec it protects.
 ///
 /// Warm restart preserves the *exact* recurrence: the absolute iteration
 /// counter is part of the state, so the periodic exact-residual refresh
@@ -345,9 +336,10 @@ pub struct CgResult<T> {
     /// drift at refresh points (see [`CgConfig::drift_tolerance`]).
     pub drift_restarts: usize,
     /// The solver state at exit, present when
-    /// [`CgConfig::checkpoint_interval`] is set. Resuming from it with
-    /// [`conjugate_gradients_resume`] continues the run exactly where it
-    /// stopped (e.g. after an early stop via `max_iterations`).
+    /// [`CgConfig::checkpoint_interval`] is set. Resuming from it (the
+    /// `resume` argument of [`conjugate_gradients`]) continues the run
+    /// exactly where it stopped (e.g. after an early stop via
+    /// `max_iterations`).
     pub checkpoint: Option<CgState<T>>,
 }
 
@@ -362,7 +354,31 @@ impl<T: Real> CgResult<T> {
     }
 }
 
-/// Solves `A·x = b` with Conjugate Gradients from `x₀ = 0`.
+/// Solves `A·x = b` with Conjugate Gradients — the one entry point for
+/// every variant of the solve. Each optional part is independent:
+///
+/// * `diagonal` — **Jacobi preconditioning** with `M = diag(A)`.
+///   Termination still checks the *unpreconditioned* relative residual
+///   `‖r‖ ≤ ε·‖r₀‖`, so iteration counts stay comparable to plain CG. An
+///   extension past the paper (which uses plain CG); on ill-conditioned
+///   kernels the diagonal scaling cuts the iteration count — see the
+///   `ablation` figure.
+/// * `metrics` — per-iteration telemetry: each iteration's residual norm,
+///   α, β and matvec wall time (see [`crate::trace`]). `None` costs a
+///   single branch per iteration and performs no timing.
+/// * `resume` — **warm restart** from a [`CgState`]: the search direction,
+///   residual, ρ and the absolute iteration counter are restored, so an
+///   interrupted solve resumed here performs the same arithmetic — and the
+///   same number of total iterations — as one that was never interrupted.
+///   `config.max_iterations` bounds the *absolute* iteration count. A
+///   Jacobi solve must be resumed with the same `diagonal`. `None` starts
+///   at `x₀ = 0`.
+/// * `checkpoint` — receives every periodic snapshot (once per
+///   [`CgConfig::checkpoint_interval`] iterations); the durable journal
+///   plugs in here. It must handle its own failures: persistence problems
+///   never abort a numerically healthy solve.
+///
+/// Neither `metrics` nor `checkpoint` ever changes the iterates.
 ///
 /// ```
 /// use plssvm_core::cg::{conjugate_gradients, CgConfig, LinOp};
@@ -375,196 +391,25 @@ impl<T: Real> CgResult<T> {
 ///     }
 /// }
 /// let op = Diag(vec![2.0, 4.0, 8.0]);
-/// let r = conjugate_gradients(&op, &[2.0, 4.0, 8.0], &CgConfig::with_epsilon(1e-12));
+/// let cfg = CgConfig::with_epsilon(1e-12);
+/// let r = conjugate_gradients(&op, &[2.0, 4.0, 8.0], &cfg, None, None, None, None);
 /// assert!(r.converged);
 /// for x in &r.x { assert!((x - 1.0).abs() < 1e-10); }
 /// ```
 ///
 /// # Panics
-/// Panics if `b.len() != op.dim()` or ε is not positive and finite.
+/// Panics if `b`, `diagonal` or `resume` do not match `op.dim()`, if ε is
+/// not positive and finite, or if a diagonal entry is not strictly
+/// positive (the SPD precondition).
+#[allow(clippy::type_complexity)]
 pub fn conjugate_gradients<T: Real>(
     op: &dyn LinOp<T>,
     b: &[T],
     config: &CgConfig<T>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, None, None)
-}
-
-/// [`conjugate_gradients`] with per-iteration telemetry: each iteration's
-/// residual norm, α, β and matvec wall time is reported to `metrics` (see
-/// [`crate::trace`]). Passing `None` is exactly [`conjugate_gradients`] —
-/// the disabled path costs a single branch per iteration and performs no
-/// timing.
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients`].
-pub fn conjugate_gradients_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, metrics, None)
-}
-
-/// Resumes a CG solve from a [`CgState`] checkpoint (warm restart).
-///
-/// The recurrence continues exactly: the search direction, residual, ρ and
-/// the absolute iteration counter are restored, so an interrupted solve
-/// resumed here performs the same arithmetic — and therefore the same
-/// number of total iterations — as one that was never interrupted.
-/// `config.max_iterations` bounds the *absolute* iteration count, matching
-/// the uninterrupted run.
-///
-/// # Panics
-/// Panics if the checkpoint dimension does not match `op.dim()`, plus the
-/// contract of [`conjugate_gradients`].
-pub fn conjugate_gradients_resume<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, None, Some(state))
-}
-
-/// [`conjugate_gradients_resume`] with per-iteration telemetry.
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_resume`].
-pub fn conjugate_gradients_resume_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    conjugate_gradients_impl(op, b, config, None, metrics, Some(state))
-}
-
-/// Resumes a **Jacobi-preconditioned** solve from a checkpoint. The same
-/// `diagonal` the original solve used must be passed, or the preconditioned
-/// recurrence will not continue the original one.
-///
-/// # Panics
-/// The contracts of [`conjugate_gradients_jacobi`] and
-/// [`conjugate_gradients_resume`] combined.
-pub fn conjugate_gradients_jacobi_resume<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-) -> CgResult<T> {
-    conjugate_gradients_jacobi_resume_with_metrics(op, b, diagonal, config, state, None)
-}
-
-/// [`conjugate_gradients_jacobi_resume`] with per-iteration telemetry.
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_jacobi_resume`].
-pub fn conjugate_gradients_jacobi_resume_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    state: &CgState<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    assert_eq!(diagonal.len(), op.dim(), "diagonal length mismatch");
-    assert!(
-        diagonal.iter().all(|d| d.to_f64() > 0.0),
-        "Jacobi preconditioner needs a strictly positive diagonal"
-    );
-    conjugate_gradients_impl(op, b, config, Some(diagonal), metrics, Some(state))
-}
-
-/// Solves `A·x = b` with **Jacobi-preconditioned** CG: `M = diag(A)`,
-/// passed as `diagonal`. Termination still checks the *unpreconditioned*
-/// relative residual `‖r‖ ≤ ε·‖r₀‖` so iteration counts stay directly
-/// comparable to [`conjugate_gradients`]. An extension past the paper
-/// (which uses plain CG); on ill-conditioned kernels the diagonal scaling
-/// cuts the iteration count — see the `ablation` figure.
-///
-/// # Panics
-/// Panics on length mismatches, non-positive ε, or a diagonal entry that
-/// is not strictly positive (the SPD precondition).
-pub fn conjugate_gradients_jacobi<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-) -> CgResult<T> {
-    conjugate_gradients_jacobi_with_metrics(op, b, diagonal, config, None)
-}
-
-/// [`conjugate_gradients_jacobi`] with per-iteration telemetry, analogous
-/// to [`conjugate_gradients_with_metrics`].
-///
-/// # Panics
-/// Same contract as [`conjugate_gradients_jacobi`].
-pub fn conjugate_gradients_jacobi_with_metrics<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    diagonal: &[T],
-    config: &CgConfig<T>,
-    metrics: Option<&dyn MetricsSink>,
-) -> CgResult<T> {
-    assert_eq!(diagonal.len(), op.dim(), "diagonal length mismatch");
-    assert!(
-        diagonal.iter().all(|d| d.to_f64() > 0.0),
-        "Jacobi preconditioner needs a strictly positive diagonal"
-    );
-    conjugate_gradients_impl(op, b, config, Some(diagonal), metrics, None)
-}
-
-/// The fully general entry point: optional Jacobi preconditioning,
-/// telemetry, warm restart **and** a [`CheckpointSink`] receiving every
-/// periodic snapshot. All other `conjugate_gradients*` wrappers delegate
-/// here; passing `None` for `sink` is bit-identical to the corresponding
-/// wrapper, so attaching a durable journal never perturbs the numerics.
-///
-/// # Panics
-/// The combined contracts of [`conjugate_gradients_jacobi`] and
-/// [`conjugate_gradients_resume`].
-pub fn conjugate_gradients_checkpointed<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
     diagonal: Option<&[T]>,
     metrics: Option<&dyn MetricsSink>,
     resume: Option<&CgState<T>>,
-    sink: Option<&dyn CheckpointSink<T>>,
-) -> CgResult<T> {
-    if let Some(diag) = diagonal {
-        assert_eq!(diag.len(), op.dim(), "diagonal length mismatch");
-        assert!(
-            diag.iter().all(|d| d.to_f64() > 0.0),
-            "Jacobi preconditioner needs a strictly positive diagonal"
-        );
-    }
-    conjugate_gradients_full(op, b, config, diagonal, metrics, resume, sink)
-}
-
-fn conjugate_gradients_impl<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    diagonal: Option<&[T]>,
-    metrics: Option<&dyn MetricsSink>,
-    resume: Option<&CgState<T>>,
-) -> CgResult<T> {
-    conjugate_gradients_full(op, b, config, diagonal, metrics, resume, None)
-}
-
-fn conjugate_gradients_full<T: Real>(
-    op: &dyn LinOp<T>,
-    b: &[T],
-    config: &CgConfig<T>,
-    diagonal: Option<&[T]>,
-    metrics: Option<&dyn MetricsSink>,
-    resume: Option<&CgState<T>>,
-    sink: Option<&dyn CheckpointSink<T>>,
+    checkpoint: Option<&dyn Fn(&CgState<T>)>,
 ) -> CgResult<T> {
     let n = op.dim();
     assert_eq!(b.len(), n, "rhs length mismatch");
@@ -576,6 +421,13 @@ fn conjugate_gradients_full<T: Real>(
         assert!(k >= 1, "checkpoint interval must be at least 1");
     }
     assert!(config.stall_window >= 1, "stall window must be at least 1");
+    if let Some(diag) = diagonal {
+        assert_eq!(diag.len(), n, "diagonal length mismatch");
+        assert!(
+            diag.iter().all(|d| d.to_f64() > 0.0),
+            "Jacobi preconditioner needs a strictly positive diagonal"
+        );
+    }
     let max_iterations = config.max_iterations.unwrap_or_else(|| (2 * n).max(128));
 
     // z = M⁻¹·r (identity without a preconditioner)
@@ -741,9 +593,9 @@ fn conjugate_gradients_full<T: Real>(
             if iterations.is_multiple_of(k) {
                 // stream the snapshot to the durable journal (when one is
                 // attached) and record the cadence in telemetry; without a
-                // sink the snapshot only materializes at exit
-                if let Some(out) = sink {
-                    out.persist(&snapshot(&x, &r, &d, rho, delta, iterations));
+                // hook the snapshot only materializes at exit
+                if let Some(persist) = checkpoint {
+                    persist(&snapshot(&x, &r, &d, rho, delta, iterations));
                 }
                 if let Some(sink) = metrics {
                     sink.record_recovery(RecoverySample::checkpoint(iterations));
@@ -858,11 +710,30 @@ mod tests {
         DenseOp { n, a }
     }
 
+    /// Plain CG from `x₀ = 0`.
+    fn solve(op: &DenseOp, b: &[f64], cfg: &CgConfig<f64>) -> CgResult<f64> {
+        conjugate_gradients(op, b, cfg, None, None, None, None)
+    }
+
+    /// Jacobi-preconditioned CG from `x₀ = 0`.
+    fn jacobi(op: &DenseOp, b: &[f64], diag: &[f64], cfg: &CgConfig<f64>) -> CgResult<f64> {
+        conjugate_gradients(op, b, cfg, Some(diag), None, None, None)
+    }
+
+    /// Plain CG continued from `state`.
+    fn resume(op: &DenseOp, b: &[f64], cfg: &CgConfig<f64>, state: &CgState<f64>) -> CgResult<f64> {
+        conjugate_gradients(op, b, cfg, None, None, Some(state), None)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn identity_converges_instantly() {
         let op = identity(5);
         let b = vec![1.0, -2.0, 3.0, 0.5, 0.0];
-        let r = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-10));
+        let r = solve(&op, &b, &CgConfig::with_epsilon(1e-10));
         assert!(r.converged);
         assert_eq!(r.iterations, 1);
         for (xi, bi) in r.x.iter().zip(&b) {
@@ -873,7 +744,7 @@ mod tests {
     #[test]
     fn zero_rhs_needs_no_iterations() {
         let op = random_spd(8, 1);
-        let r = conjugate_gradients(&op, &[0.0; 8], &CgConfig::default());
+        let r = solve(&op, &[0.0; 8], &CgConfig::default());
         assert!(r.converged);
         assert_eq!(r.iterations, 0);
         assert_eq!(r.x, vec![0.0; 8]);
@@ -887,7 +758,7 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| ((i * 13 % 17) as f64 - 8.0) / 4.0).collect();
         let mut b = vec![0.0; n];
         op.apply(&x_true, &mut b);
-        let r = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-12));
+        let r = solve(&op, &b, &CgConfig::with_epsilon(1e-12));
         assert!(r.converged);
         for i in 0..n {
             assert!((r.x[i] - x_true[i]).abs() < 1e-7, "x[{i}]");
@@ -899,7 +770,7 @@ mod tests {
         let n = 30;
         let op = random_spd(n, 3);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
-        let r = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-8));
+        let r = solve(&op, &b, &CgConfig::with_epsilon(1e-8));
         // verify the reported residual against the true residual
         let mut ax = vec![0.0; n];
         op.apply(&r.x, &mut ax);
@@ -918,8 +789,8 @@ mod tests {
         let n = 60;
         let op = random_spd(n, 11);
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.31).sin()).collect();
-        let loose = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-2));
-        let tight = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-12));
+        let loose = solve(&op, &b, &CgConfig::with_epsilon(1e-2));
+        let tight = solve(&op, &b, &CgConfig::with_epsilon(1e-12));
         assert!(loose.converged && tight.converged);
         assert!(
             tight.iterations > loose.iterations,
@@ -939,7 +810,7 @@ mod tests {
             max_iterations: Some(2),
             ..CgConfig::default()
         };
-        let r = conjugate_gradients(&op, &b, &cfg);
+        let r = solve(&op, &b, &cfg);
         assert_eq!(r.iterations, 2);
         assert!(!r.converged);
     }
@@ -954,7 +825,7 @@ mod tests {
             residual_refresh_interval: 3, // refresh aggressively
             ..CgConfig::default()
         };
-        let r = conjugate_gradients(&op, &b, &cfg);
+        let r = solve(&op, &b, &cfg);
         assert!(r.converged);
         let mut ax = vec![0.0; n];
         op.apply(&r.x, &mut ax);
@@ -973,7 +844,7 @@ mod tests {
         let n = 25;
         let op = random_spd(n, 21);
         let b = vec![1.0; n];
-        let r = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-9));
+        let r = solve(&op, &b, &CgConfig::with_epsilon(1e-9));
         assert!(r.converged);
         assert!(r.iterations <= n);
     }
@@ -982,14 +853,14 @@ mod tests {
     #[should_panic(expected = "rhs length mismatch")]
     fn rhs_length_checked() {
         let op = identity(3);
-        let _ = conjugate_gradients(&op, &[1.0; 4], &CgConfig::default());
+        let _ = solve(&op, &[1.0; 4], &CgConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "epsilon must be positive")]
     fn epsilon_checked() {
         let op = identity(3);
-        let _ = conjugate_gradients(&op, &[1.0; 3], &CgConfig::with_epsilon(-1.0));
+        let _ = solve(&op, &[1.0; 3], &CgConfig::with_epsilon(-1.0));
     }
 
     /// An SPD matrix with a badly scaled diagonal — the case Jacobi
@@ -1014,8 +885,8 @@ mod tests {
         let op = random_spd(n, 8);
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.4).sin()).collect();
         let diag: Vec<f64> = (0..n).map(|i| op.a[i * n + i]).collect();
-        let plain = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-10));
-        let pcg = conjugate_gradients_jacobi(&op, &b, &diag, &CgConfig::with_epsilon(1e-10));
+        let plain = solve(&op, &b, &CgConfig::with_epsilon(1e-10));
+        let pcg = jacobi(&op, &b, &diag, &CgConfig::with_epsilon(1e-10));
         assert!(plain.converged && pcg.converged);
         for i in 0..n {
             assert!((plain.x[i] - pcg.x[i]).abs() < 1e-6, "x[{i}]");
@@ -1043,8 +914,8 @@ mod tests {
             max_iterations: Some(10 * n),
             ..CgConfig::default()
         };
-        let plain = conjugate_gradients(&op, &b, &cfg);
-        let pcg = conjugate_gradients_jacobi(&op, &b, &diag, &cfg);
+        let plain = solve(&op, &b, &cfg);
+        let pcg = jacobi(&op, &b, &diag, &cfg);
         assert!(pcg.converged);
         assert!(
             pcg.iterations * 2 < plain.iterations.max(1) || !plain.converged,
@@ -1058,14 +929,14 @@ mod tests {
     #[should_panic(expected = "strictly positive diagonal")]
     fn jacobi_rejects_nonpositive_diagonal() {
         let op = identity(3);
-        let _ = conjugate_gradients_jacobi(&op, &[1.0; 3], &[1.0, 0.0, 1.0], &CgConfig::default());
+        let _ = jacobi(&op, &[1.0; 3], &[1.0, 0.0, 1.0], &CgConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "diagonal length mismatch")]
     fn jacobi_checks_diagonal_length() {
         let op = identity(3);
-        let _ = conjugate_gradients_jacobi(&op, &[1.0; 3], &[1.0; 4], &CgConfig::default());
+        let _ = jacobi(&op, &[1.0; 3], &[1.0; 4], &CgConfig::default());
     }
 
     #[test]
@@ -1075,7 +946,15 @@ mod tests {
         let op = random_spd(n, 3);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let t = Telemetry::new();
-        let r = conjugate_gradients_with_metrics(&op, &b, &CgConfig::with_epsilon(1e-8), Some(&t));
+        let r = conjugate_gradients(
+            &op,
+            &b,
+            &CgConfig::with_epsilon(1e-8),
+            None,
+            Some(&t),
+            None,
+            None,
+        );
         let report = t.report();
         assert_eq!(report.iterations(), r.iterations);
         assert_eq!(report.cg_dim, Some(n));
@@ -1087,44 +966,89 @@ mod tests {
         assert!(hist.iter().all(|x| x.is_finite()));
         assert_eq!(*hist.last().unwrap(), r.residual_norm);
         // telemetry must not perturb the numerics
-        let plain = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-8));
+        let plain = solve(&op, &b, &CgConfig::with_epsilon(1e-8));
         assert_eq!(plain.x, r.x);
         assert_eq!(plain.iterations, r.iterations);
     }
 
     #[test]
     fn checkpoint_restart_is_bit_identical_to_uninterrupted_solve() {
+        // every combination of {diagonal, metrics, resume, checkpoint hook}:
+        // metrics and the hook never change a bit of `x`, and a solve
+        // resumed from a mid-solve snapshot matches the uninterrupted one
+        use crate::trace::Telemetry;
+        use std::sync::Mutex;
         let n = 48;
         let op = random_spd(n, 17);
         let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.23).sin() + 0.1).collect();
-        let full_cfg = CgConfig {
+        let diag: Vec<f64> = (0..n).map(|i| op.a[i * n + i]).collect();
+        let cfg = CgConfig {
             epsilon: 1e-12,
             checkpoint_interval: Some(4),
             // refresh mid-run so the absolute-iteration schedule matters
             residual_refresh_interval: 7,
             ..CgConfig::default()
         };
-        let full = conjugate_gradients(&op, &b, &full_cfg);
-        assert!(full.converged && full.iterations > 10);
-
-        for stop_at in [1, 3, 7, 11] {
-            let interrupted = conjugate_gradients(
-                &op,
-                &b,
-                &CgConfig {
-                    max_iterations: Some(stop_at),
-                    ..full_cfg
-                },
-            );
-            let state = interrupted.checkpoint.expect("checkpoint requested");
-            assert_eq!(state.iterations(), stop_at);
-            assert_eq!(state.solution(), &interrupted.x[..]);
-            let resumed = conjugate_gradients_resume(&op, &b, &full_cfg, &state);
-            // warm restart preserves the exact recurrence: bit-identical
-            assert_eq!(resumed.x, full.x, "stop_at={stop_at}");
-            assert_eq!(resumed.iterations, full.iterations);
-            assert_eq!(resumed.residual_norm, full.residual_norm);
-            assert!(resumed.converged);
+        for combo in 0..16u32 {
+            let [with_diag, with_metrics, with_resume, with_hook] =
+                [0, 1, 2, 3].map(|k| combo & (1 << k) != 0);
+            let diagonal = with_diag.then_some(&diag[..]);
+            let full = conjugate_gradients(&op, &b, &cfg, diagonal, None, None, None);
+            assert!(full.converged && full.iterations > 10);
+            let stops: &[usize] = if with_resume { &[1, 3, 7, 11] } else { &[0] };
+            for &stop_at in stops {
+                let state = with_resume.then(|| {
+                    let stop = CgConfig {
+                        max_iterations: Some(stop_at),
+                        ..cfg
+                    };
+                    let interrupted =
+                        conjugate_gradients(&op, &b, &stop, diagonal, None, None, None);
+                    let state = interrupted.checkpoint.expect("checkpoint requested");
+                    assert_eq!(state.iterations(), stop_at);
+                    assert_eq!(state.solution(), &interrupted.x[..]);
+                    state
+                });
+                let t = Telemetry::new();
+                let seen = Mutex::new(Vec::new());
+                let hook = |s: &CgState<f64>| seen.lock().unwrap().push(s.iterations());
+                let r = conjugate_gradients(
+                    &op,
+                    &b,
+                    &cfg,
+                    diagonal,
+                    with_metrics.then_some(&t as &dyn MetricsSink),
+                    state.as_ref(),
+                    with_hook.then_some(&hook as &dyn Fn(&CgState<f64>)),
+                );
+                let case = format!("combo {combo:04b}, stop_at {stop_at}");
+                assert_eq!(bits(&r.x), bits(&full.x), "{case}");
+                assert_eq!(r.iterations, full.iterations, "{case}");
+                assert_eq!(
+                    r.residual_norm.to_bits(),
+                    full.residual_norm.to_bits(),
+                    "{case}"
+                );
+                assert!(r.converged, "{case}");
+                let want: Vec<usize> = if with_hook {
+                    (stop_at + 1..=r.iterations)
+                        .filter(|i| i % 4 == 0)
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(seen.into_inner().unwrap(), want, "{case}");
+                let sampled = t.report().iterations();
+                assert_eq!(
+                    sampled,
+                    if with_metrics {
+                        r.iterations - stop_at
+                    } else {
+                        0
+                    },
+                    "{case}"
+                );
+            }
         }
     }
 
@@ -1139,19 +1063,14 @@ mod tests {
             checkpoint_interval: Some(3),
             ..CgConfig::default()
         };
-        let full = conjugate_gradients_jacobi(&op, &b, &diag, &cfg);
+        let full = jacobi(&op, &b, &diag, &cfg);
         assert!(full.converged && full.iterations > 4);
-        let interrupted = conjugate_gradients_jacobi(
-            &op,
-            &b,
-            &diag,
-            &CgConfig {
-                max_iterations: Some(3),
-                ..cfg
-            },
-        );
-        let state = interrupted.checkpoint.unwrap();
-        let resumed = conjugate_gradients_jacobi_resume(&op, &b, &diag, &cfg, &state);
+        let stop = CgConfig {
+            max_iterations: Some(3),
+            ..cfg
+        };
+        let state = jacobi(&op, &b, &diag, &stop).checkpoint.unwrap();
+        let resumed = conjugate_gradients(&op, &b, &cfg, Some(&diag), None, Some(&state), None);
         assert_eq!(resumed.x, full.x);
         assert_eq!(resumed.iterations, full.iterations);
     }
@@ -1166,9 +1085,9 @@ mod tests {
             checkpoint_interval: Some(5),
             ..CgConfig::default()
         };
-        let full = conjugate_gradients(&op, &b, &cfg);
+        let full = solve(&op, &b, &cfg);
         assert!(full.converged);
-        let resumed = conjugate_gradients_resume(&op, &b, &cfg, &full.checkpoint.unwrap());
+        let resumed = resume(&op, &b, &cfg, &full.checkpoint.unwrap());
         assert!(resumed.converged);
         assert_eq!(resumed.iterations, full.iterations);
         assert_eq!(resumed.x, full.x);
@@ -1177,7 +1096,7 @@ mod tests {
     #[test]
     fn no_checkpoint_interval_means_no_checkpoint() {
         let op = random_spd(10, 2);
-        let r = conjugate_gradients(&op, &[1.0; 10], &CgConfig::with_epsilon(1e-8));
+        let r = solve(&op, &[1.0; 10], &CgConfig::with_epsilon(1e-8));
         assert!(r.checkpoint.is_none());
     }
 
@@ -1186,20 +1105,12 @@ mod tests {
     fn resume_checks_dimension() {
         let op = random_spd(8, 4);
         let small = random_spd(4, 4);
-        let r = conjugate_gradients(
-            &small,
-            &[1.0; 4],
-            &CgConfig {
-                checkpoint_interval: Some(1),
-                ..CgConfig::with_epsilon(1e-8)
-            },
-        );
-        let _ = conjugate_gradients_resume(
-            &op,
-            &[1.0; 8],
-            &CgConfig::default(),
-            &r.checkpoint.unwrap(),
-        );
+        let cfg = CgConfig {
+            checkpoint_interval: Some(1),
+            ..CgConfig::with_epsilon(1e-8)
+        };
+        let r = solve(&small, &[1.0; 4], &cfg);
+        let _ = resume(&op, &[1.0; 8], &CgConfig::default(), &r.checkpoint.unwrap());
     }
 
     #[test]
@@ -1214,7 +1125,7 @@ mod tests {
             checkpoint_interval: Some(2),
             ..CgConfig::default()
         };
-        let r = conjugate_gradients_with_metrics(&op, &b, &cfg, Some(&t));
+        let r = conjugate_gradients(&op, &b, &cfg, None, Some(&t), None, None);
         let report = t.report();
         let checkpoints = report
             .recovery
@@ -1223,19 +1134,13 @@ mod tests {
             .count();
         assert_eq!(checkpoints, r.iterations / 2);
         // checkpointing must not perturb the numerics
-        let plain = conjugate_gradients(&op, &b, &CgConfig::with_epsilon(1e-10));
+        let plain = solve(&op, &b, &CgConfig::with_epsilon(1e-10));
         assert_eq!(plain.x, r.x);
     }
 
     #[test]
     fn checkpoint_sink_receives_every_periodic_snapshot() {
         use std::sync::Mutex;
-        struct Collect(Mutex<Vec<CgState<f64>>>);
-        impl CheckpointSink<f64> for Collect {
-            fn persist(&self, state: &CgState<f64>) {
-                self.0.lock().unwrap().push(state.clone());
-            }
-        }
         let n = 30;
         let op = random_spd(n, 3);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
@@ -1244,20 +1149,18 @@ mod tests {
             checkpoint_interval: Some(2),
             ..CgConfig::default()
         };
-        let sink = Collect(Mutex::new(Vec::new()));
-        let r = conjugate_gradients_checkpointed(&op, &b, &cfg, None, None, None, Some(&sink));
-        let snaps = sink.0.into_inner().unwrap();
+        let snaps = Mutex::new(Vec::new());
+        let hook = |s: &CgState<f64>| snaps.lock().unwrap().push(s.clone());
+        let r = conjugate_gradients(&op, &b, &cfg, None, None, None, Some(&hook));
+        let snaps = snaps.into_inner().unwrap();
         assert_eq!(snaps.len(), r.iterations / 2);
         for (k, s) in snaps.iter().enumerate() {
             assert_eq!(s.iterations(), 2 * (k + 1));
         }
         // resuming from any streamed snapshot reproduces the full solve
-        let resumed = conjugate_gradients_resume(&op, &b, &cfg, &snaps[1]);
+        let resumed = resume(&op, &b, &cfg, &snaps[1]);
         assert_eq!(resumed.x, r.x);
         assert_eq!(resumed.iterations, r.iterations);
-        // attaching a sink must not perturb the numerics
-        let plain = conjugate_gradients(&op, &b, &cfg);
-        assert_eq!(plain.x, r.x);
     }
 
     #[test]
@@ -1271,7 +1174,7 @@ mod tests {
             checkpoint_interval: Some(1),
             ..CgConfig::default()
         };
-        let state = conjugate_gradients(&op, &b, &cfg).checkpoint.unwrap();
+        let state = solve(&op, &b, &cfg).checkpoint.unwrap();
         let rebuilt = CgState::from_raw_parts(
             state.solution().to_vec(),
             state.residual().to_vec(),
@@ -1287,8 +1190,8 @@ mod tests {
             checkpoint_interval: Some(1),
             ..CgConfig::default()
         };
-        let a = conjugate_gradients_resume(&op, &b, &full, &state);
-        let b2 = conjugate_gradients_resume(&op, &b, &full, &rebuilt);
+        let a = resume(&op, &b, &full, &state);
+        let b2 = resume(&op, &b, &full, &rebuilt);
         assert_eq!(a.x, b2.x);
     }
 
@@ -1299,7 +1202,7 @@ mod tests {
         for v in &mut op.a {
             *v = -*v;
         }
-        let r = conjugate_gradients(&op, &[1.0; 4], &CgConfig::with_epsilon(1e-6));
+        let r = solve(&op, &[1.0; 4], &CgConfig::with_epsilon(1e-6));
         assert!(!r.converged);
         assert_eq!(r.iterations, 0);
     }

@@ -45,7 +45,7 @@ impl ContextFingerprint {
     }
 
     /// Absorbs raw bytes.
-    pub fn push_bytes(mut self, bytes: &[u8]) -> Self {
+    fn push_bytes(mut self, bytes: &[u8]) -> Self {
         self.0 = fnv1a64_extend(self.0, bytes);
         self
     }
@@ -133,12 +133,6 @@ impl JournalSink {
             retry: crate::resilience::IoRetryPolicy::default(),
             degraded: std::sync::atomic::AtomicBool::new(false),
         }
-    }
-
-    /// Overrides the append retry policy (tests use zero backoff).
-    pub fn with_retry_policy(mut self, retry: crate::resilience::IoRetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// True once persistent append failures disabled checkpointing for

@@ -17,6 +17,11 @@
 //!    through the original working-precision backend (the paper's >92 %
 //!    of runtime stays in the fast precision).
 //!
+//! The primary solve and rungs 1–2 are calls of the one CG entry,
+//! [`crate::cg::conjugate_gradients`], made by a single rung runner; each
+//! hands its checkpoint snapshots to a [`RungCheckpointSink`] tagged with
+//! the rung (see [`rungs`]).
+//!
 //! Each rung fires a `recovery` telemetry event
 //! ([`RecoveryKind::Restart`] / [`RecoveryKind::Precondition`] /
 //! [`RecoveryKind::PrecisionEscalation`]), so a training run either
@@ -38,8 +43,7 @@
 use plssvm_data::Real;
 
 use crate::cg::{
-    conjugate_gradients_checkpointed, BreakdownKind, CgConfig, CgResult, CgState,
-    CheckpointSink as CgCheckpointSink, LinOp, SolveOutcome,
+    conjugate_gradients, BreakdownKind, CgConfig, CgResult, CgState, LinOp, SolveOutcome,
 };
 use crate::kernel::dot;
 use crate::trace::{CgOutcomeSample, MetricsSink, RecoveryKind, RecoverySample};
@@ -60,23 +64,17 @@ pub mod rungs {
 
 /// A checkpoint destination that records which escalation rung each
 /// snapshot belongs to. The durable journal implements this; the ladder
-/// wraps it into a per-rung [`CgCheckpointSink`] for the inner solves.
+/// hands each inner solve a checkpoint hook that tags its snapshots with
+/// the active rung.
+///
+/// `persist` is called once per [`CgConfig::checkpoint_interval`]
+/// iterations with the complete solver state. Implementations must handle
+/// their own failures (log, count, emit telemetry): persistence problems
+/// must never abort a numerically healthy solve, so `persist` does not
+/// return a `Result`.
 pub trait RungCheckpointSink<T: Real>: Sync {
     /// Persists one snapshot taken while `rung` was active.
     fn persist(&self, rung: u8, state: &CgState<T>);
-}
-
-/// Adapts a [`RungCheckpointSink`] to the rung-unaware hook of
-/// [`crate::cg`], pinning the rung the surrounding ladder step is on.
-struct RungAdapter<'a, T: Real> {
-    inner: &'a dyn RungCheckpointSink<T>,
-    rung: u8,
-}
-
-impl<T: Real> CgCheckpointSink<T> for RungAdapter<'_, T> {
-    fn persist(&self, state: &CgState<T>) {
-        self.inner.persist(self.rung, state);
-    }
 }
 
 /// A recovered checkpoint: the saved CG state plus the escalation rung it
@@ -202,22 +200,23 @@ fn true_residual_norm<T: Real>(op: &dyn LinOp<T>, b: &[T], x: &[T]) -> f64 {
 /// Solves `A·x = b`, escalating through the recovery ladder on
 /// non-convergence.
 ///
-/// The first attempt is exactly
-/// [`crate::cg::conjugate_gradients_with_metrics`] (or the Jacobi variant
-/// when `jacobi` is [`JacobiDiagonal::Immediate`]) — bit-identical to an
-/// unguarded solve. Only when that attempt comes back non-converged do
-/// the policy's rungs engage, each restarting from the best iterate so
-/// far with the relative-residual criterion still measured against the
-/// **original** `‖b‖`.
+/// The first attempt is exactly [`crate::cg::conjugate_gradients`] (with
+/// the diagonal when `jacobi` is [`JacobiDiagonal::Immediate`]) —
+/// bit-identical to an unguarded solve. Only when that attempt comes back
+/// non-converged do the policy's rungs engage, each restarting from the
+/// best iterate so far with the relative-residual criterion still measured
+/// against the **original** `‖b‖`.
 ///
 /// The consolidated outcome (final classification, total iterations
 /// across rungs, final relative residual) is recorded to `metrics` as the
 /// run's [`CgOutcomeSample`].
 ///
+/// This is [`solve_with_guardrails_checkpointed`] without a checkpoint
+/// sink or resume point.
+///
 /// # Panics
-/// The contract of [`crate::cg::conjugate_gradients_with_metrics`];
-/// additionally a [`JacobiDiagonal::Immediate`] diagonal must be strictly
-/// positive.
+/// The contract of [`crate::cg::conjugate_gradients`]; in particular a
+/// [`JacobiDiagonal::Immediate`] diagonal must be strictly positive.
 pub fn solve_with_guardrails<T: Real>(
     op: &dyn LinOp<T>,
     b: &[T],
@@ -239,9 +238,6 @@ pub fn solve_with_guardrails<T: Real>(
 /// already ran before the crash) and the matching rung continues from the
 /// saved state instead of restarting, which keeps an interrupted rung-0
 /// solve bit-exact with an uninterrupted one.
-///
-/// With `sink = None` and `resume = None` this is exactly
-/// [`solve_with_guardrails`].
 #[allow(clippy::too_many_arguments)]
 pub fn solve_with_guardrails_checkpointed<T: Real>(
     op: &dyn LinOp<T>,
@@ -264,38 +260,6 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
     // not run again on resume.
     let already_passed = |rung: u8| resume_rung.is_some_and(|r| r > rung);
     let resume_state_for = |rung: u8| resume.filter(|r| r.rung == rung).map(|r| r.state.clone());
-    let adapter_for = |rung: u8| sink.map(|inner| RungAdapter { inner, rung });
-
-    let mut result = if already_passed(rungs::PRIMARY) {
-        // The journal says a later rung was active when the process died:
-        // seed the ladder with the saved iterate instead of redoing the
-        // primary solve.
-        let state = &resume.unwrap().state;
-        CgResult {
-            x: state.solution().to_vec(),
-            iterations: 0,
-            initial_residual_norm: T::from_f64(delta0.to_f64().max(0.0).sqrt()),
-            residual_norm: state.residual_norm(),
-            converged: false,
-            outcome: SolveOutcome::IterationBudget,
-            drift_restarts: 0,
-            checkpoint: None,
-        }
-    } else {
-        let adapter = adapter_for(rungs::PRIMARY);
-        let resumed = resume_state_for(rungs::PRIMARY);
-        conjugate_gradients_checkpointed(
-            op,
-            b,
-            config,
-            initial_diag,
-            metrics,
-            resumed.as_ref(),
-            adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-        )
-    };
-    let mut total_iterations = result.iterations;
-    let mut escalations = Vec::new();
 
     // A rung can move *backwards* (a restart from a drifted iterate may
     // end farther from the solution than it started), so on the failure
@@ -305,7 +269,7 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
         policy.restart || policy.jacobi || (policy.precision_escalation && T::BYTES < 8);
     let mut best: Option<(Vec<T>, f64)> = None;
     let consider = |result: &CgResult<T>, best: &mut Option<(Vec<T>, f64)>| {
-        if result.converged {
+        if result.converged || !ladder_enabled {
             return;
         }
         let x = sanitized(&result.x);
@@ -314,41 +278,65 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
             *best = Some((x, norm));
         }
     };
-    if !result.converged && ladder_enabled {
-        consider(&result, &mut best);
+    // The journal says a later rung was active when the process died: seed
+    // the ladder with the saved iterate instead of redoing the primary
+    // solve.
+    let seed = resume
+        .filter(|r| r.rung > rungs::PRIMARY)
+        .map(|r| CgResult {
+            x: r.state.solution().to_vec(),
+            iterations: 0,
+            initial_residual_norm: T::from_f64(delta0.to_f64().max(0.0).sqrt()),
+            residual_norm: r.state.residual_norm(),
+            converged: false,
+            outcome: SolveOutcome::IterationBudget,
+            drift_restarts: 0,
+            checkpoint: None,
+        });
+    if let Some(seed) = &seed {
+        consider(seed, &mut best);
     }
+    let mut total_iterations = 0;
+    let mut escalations = Vec::new();
+
+    // One CG rung. An escalation (`from`: the previous rung's result, the
+    // recovery kind and what the rung does) is announced first, then the
+    // rung continues its saved state on resume or else restarts from the
+    // previous iterate with the exact residual; the primary rung starts
+    // from x = 0. Snapshots are persisted under the rung's tag.
+    let mut run_rung =
+        |rung: u8, diag: Option<&[T]>, from: Option<(&CgResult<T>, RecoveryKind, &str)>| {
+            if let Some((prev, kind, action)) = from {
+                let detail = format!("escalation after {}: {action}", prev.outcome);
+                emit(metrics, kind, total_iterations, detail);
+                escalations.push(kind);
+            }
+            let state = resume_state_for(rung).or_else(|| {
+                let (prev, ..) = from?;
+                let x0 = sanitized(&prev.x);
+                Some(CgState::restart_from(op, b, &x0, diag, Some(delta0)))
+            });
+            let persist = |s: &CgState<T>| sink.map_or((), |sink| sink.persist(rung, s));
+            let hook = sink.map(|_| &persist as &dyn Fn(&CgState<T>));
+            let result = conjugate_gradients(op, b, config, diag, metrics, state.as_ref(), hook);
+            total_iterations += result.iterations;
+            consider(&result, &mut best);
+            result
+        };
+
+    let mut result = match seed {
+        Some(seed) => seed,
+        None => run_rung(rungs::PRIMARY, initial_diag, None),
+    };
 
     // Rung 1: restart from the current iterate with the exact residual.
     if !result.converged && policy.restart && !already_passed(rungs::RESTART) {
-        emit(
-            metrics,
-            RecoveryKind::Restart,
-            total_iterations,
-            format!(
-                "escalation after {}: restart from current iterate with exact residual",
-                result.outcome
-            ),
-        );
-        escalations.push(RecoveryKind::Restart);
-        let state = match resume_state_for(rungs::RESTART) {
-            Some(saved) => saved,
-            None => {
-                let x0 = sanitized(&result.x);
-                CgState::restart_from(op, b, &x0, initial_diag, Some(delta0))
-            }
-        };
-        let adapter = adapter_for(rungs::RESTART);
-        result = conjugate_gradients_checkpointed(
-            op,
-            b,
-            config,
+        let action = "restart from current iterate with exact residual";
+        result = run_rung(
+            rungs::RESTART,
             initial_diag,
-            metrics,
-            Some(&state),
-            adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
+            Some((&result, RecoveryKind::Restart, action)),
         );
-        total_iterations += result.iterations;
-        consider(&result, &mut best);
     }
 
     // Rung 2: enable the Jacobi preconditioner.
@@ -365,35 +353,9 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
             let usable =
                 diag.len() == op.dim() && diag.iter().all(|d| d.is_finite() && d.to_f64() > 0.0);
             if usable {
-                emit(
-                    metrics,
-                    RecoveryKind::Precondition,
-                    total_iterations,
-                    format!(
-                        "escalation after {}: enabling Jacobi preconditioner",
-                        result.outcome
-                    ),
-                );
-                escalations.push(RecoveryKind::Precondition);
-                let state = match resume_state_for(rungs::JACOBI) {
-                    Some(saved) => saved,
-                    None => {
-                        let x0 = sanitized(&result.x);
-                        CgState::restart_from(op, b, &x0, Some(&diag), Some(delta0))
-                    }
-                };
-                let adapter = adapter_for(rungs::JACOBI);
-                result = conjugate_gradients_checkpointed(
-                    op,
-                    b,
-                    config,
-                    Some(&diag),
-                    metrics,
-                    Some(&state),
-                    adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-                );
-                total_iterations += result.iterations;
-                consider(&result, &mut best);
+                let action = "enabling Jacobi preconditioner";
+                let from = Some((&result, RecoveryKind::Precondition, action));
+                result = run_rung(rungs::JACOBI, Some(&diag), from);
                 owned_diag = Some(diag);
             }
         }
@@ -419,16 +381,8 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
         // from the saved x loses nothing but the in-flight correction).
         let resumed_x = resume_state_for(rungs::REFINEMENT).map(|s| s.solution().to_vec());
         let x_start: &[T] = resumed_x.as_deref().unwrap_or(&result.x);
-        let adapter = adapter_for(rungs::REFINEMENT);
-        let (refined, inner_iterations) = iterative_refinement(
-            op,
-            b,
-            config,
-            policy,
-            diag,
-            x_start,
-            adapter.as_ref().map(|a| a as &dyn CgCheckpointSink<T>),
-        );
+        let (refined, inner_iterations) =
+            iterative_refinement(op, b, config, policy, diag, x_start, sink);
         total_iterations += inner_iterations;
         result = refined;
         consider(&result, &mut best);
@@ -485,9 +439,10 @@ pub fn solve_with_guardrails_checkpointed<T: Real>(
 /// of inner iterations consumed.
 ///
 /// When `sink` is present, a synthesized working-precision snapshot of
-/// the outer state (iterate + measured residual) is persisted before each
-/// correction, so a crash mid-refinement resumes from the last completed
-/// correction instead of the ladder's entry iterate.
+/// the outer state (iterate + measured residual) is persisted under
+/// [`rungs::REFINEMENT`] before each correction, so a crash
+/// mid-refinement resumes from the last completed correction instead of
+/// the ladder's entry iterate.
 fn iterative_refinement<T: Real>(
     op: &dyn LinOp<T>,
     b: &[T],
@@ -495,7 +450,7 @@ fn iterative_refinement<T: Real>(
     policy: &RecoveryPolicy,
     diagonal: Option<&[T]>,
     x_start: &[T],
-    sink: Option<&dyn CgCheckpointSink<T>>,
+    sink: Option<&dyn RungCheckpointSink<T>>,
 ) -> (CgResult<T>, usize) {
     let n = op.dim();
     let b64: Vec<f64> = b.iter().map(|&v| v.to_f64()).collect();
@@ -552,19 +507,21 @@ fn iterative_refinement<T: Real>(
             // corrections.
             let r_t: Vec<T> = r64.iter().map(|&v| T::from_f64(v)).collect();
             let delta = T::from_f64(rnorm * rnorm);
-            out.persist(&CgState::from_raw_parts(
-                x_t.clone(),
-                r_t.clone(),
-                r_t,
-                delta,
-                delta,
-                T::from_f64(norm_b * norm_b),
-                outer,
-            ));
+            out.persist(
+                rungs::REFINEMENT,
+                &CgState::from_raw_parts(
+                    x_t.clone(),
+                    r_t.clone(),
+                    r_t,
+                    delta,
+                    delta,
+                    T::from_f64(norm_b * norm_b),
+                    outer,
+                ),
+            );
         }
         let rhs: Vec<T> = r64.iter().map(|&v| T::from_f64(v / rnorm)).collect();
-        let inner =
-            conjugate_gradients_checkpointed(op, &rhs, &inner_config, diagonal, None, None, None);
+        let inner = conjugate_gradients(op, &rhs, &inner_config, diagonal, None, None, None);
         inner_iterations += inner.iterations;
         if inner.x.iter().any(|v| !v.is_finite()) {
             outcome = SolveOutcome::Breakdown(BreakdownKind::NonFinite);
@@ -693,6 +650,32 @@ mod tests {
         Dense64 { n, a }
     }
 
+    /// A well-conditioned f64 system whose right-hand side lives at a
+    /// scale where ‖b‖² overflows f32.
+    fn f32_overflow_system() -> (Dense64, Vec<f64>) {
+        let n = 32;
+        const SCALE: f64 = 1e25; // ‖b‖² ≈ 1e50 ≫ f32::MAX ≈ 3.4e38
+        let b = (0..n)
+            .map(|i| SCALE * (1.0 + ((i as f64) * 0.37).sin()))
+            .collect();
+        (random_spd(n, 5), b)
+    }
+
+    /// `op` and `b` evaluated in f32, with the configuration the f32 tests
+    /// solve them under.
+    fn narrowed(op: &Dense64, b: &[f64]) -> (Dense32, Vec<f32>, CgConfig<f32>) {
+        let op32 = Dense32 {
+            n: op.n,
+            a: op.a.iter().map(|&v| v as f32).collect(),
+        };
+        let cfg = CgConfig {
+            epsilon: 1e-4f32,
+            max_iterations: Some(4 * op.n),
+            ..CgConfig::default()
+        };
+        (op32, b.iter().map(|&v| v as f32).collect(), cfg)
+    }
+
     #[test]
     fn happy_path_is_bit_identical_and_unescalated() {
         let n = 32;
@@ -707,7 +690,7 @@ mod tests {
             JacobiDiagonal::Unavailable,
             None,
         );
-        let plain = conjugate_gradients(&op, &b, &cfg);
+        let plain = conjugate_gradients(&op, &b, &cfg, None, None, None, None);
         assert_eq!(guarded.result.x, plain.x);
         assert_eq!(guarded.total_iterations, plain.iterations);
         assert!(guarded.escalations.is_empty());
@@ -776,7 +759,7 @@ mod tests {
             max_iterations: Some(n),
             ..CgConfig::default()
         };
-        let unguarded = conjugate_gradients(&op, &b, &cfg);
+        let unguarded = conjugate_gradients(&op, &b, &cfg, None, None, None, None);
         assert!(!unguarded.converged, "fixture must defeat plain CG");
 
         let t = crate::trace::Telemetry::new();
@@ -822,23 +805,10 @@ mod tests {
         // breakdown_nonfinite, while the f64 refinement outer loop keeps
         // its norms in f64 and normalizes the inner right-hand sides to
         // unit scale — so only rung 3 can solve it, deterministically.
-        let n = 32;
-        let op64 = random_spd(n, 5);
-        let op32 = Dense32 {
-            n,
-            a: op64.a.iter().map(|&v| v as f32).collect(),
-        };
-        const SCALE: f64 = 1e25; // ‖b‖² ≈ 1e50 ≫ f32::MAX ≈ 3.4e38
-        let b64: Vec<f64> = (0..n)
-            .map(|i| SCALE * (1.0 + ((i as f64) * 0.37).sin()))
-            .collect();
-        let b32: Vec<f32> = b64.iter().map(|&v| v as f32).collect();
-        let cfg = CgConfig {
-            epsilon: 1e-4f32,
-            max_iterations: Some(4 * n),
-            ..CgConfig::default()
-        };
-        let unguarded = conjugate_gradients(&op32, &b32, &cfg);
+        let (op64, b64) = f32_overflow_system();
+        let n = op64.n;
+        let (op32, b32, cfg) = narrowed(&op64, &b64);
+        let unguarded = conjugate_gradients(&op32, &b32, &cfg, None, None, None, None);
         assert_eq!(
             unguarded.outcome,
             SolveOutcome::Breakdown(BreakdownKind::NonFinite),
@@ -934,8 +904,60 @@ mod tests {
         assert!(rungs_seen.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn resume_at_jacobi_rung_skips_earlier_rungs_and_converges() {
+    /// Runs the full ladder with a snapshot sink, then resumes it from
+    /// the `pick`-th snapshot taken on `rung`.
+    fn full_and_resumed<T: Real>(
+        op: &dyn LinOp<T>,
+        b: &[T],
+        cfg: &CgConfig<T>,
+        diag: Option<&[T]>,
+        rung: u8,
+        pick: usize,
+    ) -> (GuardedSolve<T>, GuardedSolve<T>) {
+        let make_diag = || diag.unwrap().to_vec();
+        let jacobi = || match diag {
+            Some(_) => JacobiDiagonal::Lazy(&make_diag),
+            None => JacobiDiagonal::Unavailable,
+        };
+        let policy = RecoveryPolicy::default();
+        let sink = Collect::new();
+        let full = solve_with_guardrails_checkpointed(
+            op,
+            b,
+            cfg,
+            &policy,
+            jacobi(),
+            None,
+            Some(&sink),
+            None,
+        );
+        let snapshots = sink.0.into_inner().unwrap();
+        let (_, state) = snapshots
+            .into_iter()
+            .filter(|(r, _)| *r == rung)
+            .nth(pick)
+            .unwrap_or_else(|| panic!("rung {rung} took no snapshot {pick}"));
+        let resume = ResumePoint { rung, state };
+        let resumed = solve_with_guardrails_checkpointed(
+            op,
+            b,
+            cfg,
+            &policy,
+            jacobi(),
+            None,
+            None,
+            Some(&resume),
+        );
+        (full, resumed)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// An ill-scaled system that defeats rungs 0 and 1 within a budget of
+    /// n iterations and converges on rung 2, with its diagonal.
+    fn ill_scaled_case() -> (Dense64, Vec<f64>, Vec<f64>, CgConfig<f64>) {
         let n = 60;
         let op = ill_scaled_spd(n);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).cos()).collect();
@@ -946,48 +968,7 @@ mod tests {
             checkpoint_interval: Some(5),
             ..CgConfig::default()
         };
-        let make_diag = || diag.clone();
-        let sink = Collect::new();
-        let full = solve_with_guardrails_checkpointed(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
-            Some(&sink),
-            None,
-        );
-        assert_eq!(full.outcome(), SolveOutcome::Converged);
-        let snapshots = sink.0.lock().unwrap();
-        let (rung, state) = snapshots
-            .iter()
-            .find(|(r, _)| *r == rungs::JACOBI)
-            .expect("jacobi rung produced a snapshot")
-            .clone();
-
-        // Resume from the mid-jacobi snapshot: rungs 0–1 must not rerun.
-        let resume = ResumePoint { rung, state };
-        let resumed = solve_with_guardrails_checkpointed(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Lazy(&make_diag),
-            None,
-            None,
-            Some(&resume),
-        );
-        assert_eq!(resumed.outcome(), SolveOutcome::Converged);
-        assert_eq!(
-            resumed.escalations,
-            vec![RecoveryKind::Precondition],
-            "only the resumed rung engages; earlier rungs are skipped"
-        );
-        assert!(resumed.total_iterations < full.total_iterations);
-        // the resumed continuation reproduces the exact tail of the full
-        // jacobi rung: identical final iterate
-        assert_eq!(resumed.result.x, full.result.x);
+        (op, b, diag, cfg)
     }
 
     #[test]
@@ -1000,34 +981,57 @@ mod tests {
             checkpoint_interval: Some(3),
             ..CgConfig::default()
         };
-        let sink = Collect::new();
-        let full = solve_with_guardrails_checkpointed(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-            Some(&sink),
-            None,
-        );
+        let (full, resumed) = full_and_resumed(&op, &b, &cfg, None, rungs::PRIMARY, 2);
         assert_eq!(full.outcome(), SolveOutcome::Converged);
-        let snapshots = sink.0.lock().unwrap();
-        let (rung, state) = snapshots.last().expect("periodic snapshots taken").clone();
-        assert_eq!(rung, rungs::PRIMARY);
-        let resume = ResumePoint { rung, state };
-        let resumed = solve_with_guardrails_checkpointed(
-            &op,
-            &b,
-            &cfg,
-            &RecoveryPolicy::default(),
-            JacobiDiagonal::Unavailable,
-            None,
-            None,
-            Some(&resume),
-        );
-        assert_eq!(resumed.result.x, full.result.x, "resume must be bit-exact");
+        assert_eq!(resumed.outcome(), SolveOutcome::Converged);
         assert!(resumed.escalations.is_empty());
+        assert_eq!(bits(&resumed.result.x), bits(&full.result.x));
+        // the iteration counter is absolute within a rung
+        assert_eq!(resumed.total_iterations, full.total_iterations);
+    }
+
+    #[test]
+    fn resume_at_jacobi_rung_skips_earlier_rungs_and_converges() {
+        let (op, b, diag, cfg) = ill_scaled_case();
+        let (full, resumed) = full_and_resumed(&op, &b, &cfg, Some(&diag), rungs::JACOBI, 0);
+        assert_eq!(full.outcome(), SolveOutcome::Converged);
+        assert_eq!(resumed.outcome(), SolveOutcome::Converged);
+        assert_eq!(
+            resumed.escalations,
+            vec![RecoveryKind::Precondition],
+            "only the resumed rung engages; earlier rungs are skipped"
+        );
+        assert!(resumed.total_iterations < full.total_iterations);
+        // the resumed continuation reproduces the exact tail of the full
+        // jacobi rung: identical final iterate
+        assert_eq!(bits(&resumed.result.x), bits(&full.result.x));
+    }
+
+    #[test]
+    fn resume_at_restart_and_refinement_rungs_skips_earlier_rungs() {
+        use RecoveryKind::{PrecisionEscalation, Precondition, Restart};
+        // rung 1 continues bit for bit and still climbs to rung 2
+        let (op, b, diag, cfg) = ill_scaled_case();
+        let (full, resumed) = full_and_resumed(&op, &b, &cfg, Some(&diag), rungs::RESTART, 3);
+        assert_eq!(full.outcome(), SolveOutcome::Converged);
+        assert_eq!(resumed.outcome(), SolveOutcome::Converged);
+        assert_eq!(resumed.escalations, vec![Restart, Precondition]);
+        assert_eq!(bits(&resumed.result.x), bits(&full.result.x));
+        assert!(resumed.total_iterations < full.total_iterations);
+
+        // rung 3 restarts its outer loop from the persisted f32 iterate
+        let (op64, b64) = f32_overflow_system();
+        let (op32, b32, cfg) = narrowed(&op64, &b64);
+        let diag: Vec<f32> = (0..op32.n).map(|i| op32.a[i * op32.n + i]).collect();
+        let (full, resumed) =
+            full_and_resumed(&op32, &b32, &cfg, Some(&diag), rungs::REFINEMENT, 1);
+        assert_eq!(
+            full.escalations,
+            vec![Restart, Precondition, PrecisionEscalation]
+        );
+        assert_eq!(resumed.escalations, vec![PrecisionEscalation]);
+        assert_eq!(resumed.outcome(), SolveOutcome::Converged);
+        assert!(resumed.total_iterations < full.total_iterations);
     }
 
     #[test]

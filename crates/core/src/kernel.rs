@@ -87,9 +87,9 @@ pub fn kernel_soa<T: Real>(spec: &KernelSpec<T>, data: &SoAMatrix<T>, i: usize, 
 /// inner product (linear and polynomial) — this is the operation that makes
 /// the feature-wise multi-device split work for the linear kernel: partial
 /// dot products are summed first, the (identity) postprocessing applied
-/// once.
-#[inline]
-pub fn finish_inner_product<T: Real>(spec: &KernelSpec<T>, ip: T) -> T {
+/// once. The tests' reference for the fused panel kernels.
+#[cfg(test)]
+fn finish_inner_product<T: Real>(spec: &KernelSpec<T>, ip: T) -> T {
     match *spec {
         KernelSpec::Linear => ip,
         KernelSpec::Polynomial {

@@ -19,7 +19,7 @@ use crate::validation::cross_validate;
 #[derive(Debug, Clone)]
 pub struct GridSearchConfig<T> {
     /// Candidate `C` values. LIBSVM's `grid.py` default is
-    /// `2^-5 … 2^15`; see [`GridSearchConfig::libsvm_default`].
+    /// `2^-5 … 2^15`.
     pub costs: Vec<T>,
     /// Candidate `γ` values (ignored for the linear kernel).
     pub gammas: Vec<T>,
@@ -27,26 +27,6 @@ pub struct GridSearchConfig<T> {
     pub folds: usize,
     /// RNG seed for the fold assignment.
     pub seed: u64,
-}
-
-impl<T: Real> GridSearchConfig<T> {
-    /// A reduced version of `grid.py`'s default exponential grid
-    /// (`C ∈ 2^{-3..11 step 2}`, `γ ∈ 2^{-11..1 step 2}`), sized for the
-    /// LS-SVM where every candidate costs a full solve.
-    pub fn libsvm_default() -> Self {
-        Self {
-            costs: (-3..=11)
-                .step_by(2)
-                .map(|e| T::from_f64(2f64.powi(e)))
-                .collect(),
-            gammas: (-11..=1)
-                .step_by(2)
-                .map(|e| T::from_f64(2f64.powi(e)))
-                .collect(),
-            folds: 5,
-            seed: 42,
-        }
-    }
 }
 
 /// One evaluated grid point.
@@ -193,16 +173,6 @@ mod tests {
             .map(|p| p.cv_accuracy)
             .fold(f64::INFINITY, f64::min);
         assert!(result.best.cv_accuracy > worst + 0.15);
-    }
-
-    #[test]
-    fn libsvm_default_grid_shape() {
-        let g = GridSearchConfig::<f64>::libsvm_default();
-        assert_eq!(g.costs.len(), 8);
-        assert_eq!(g.gammas.len(), 7);
-        assert_eq!(g.folds, 5);
-        assert_eq!(g.costs[0], 0.125);
-        assert_eq!(*g.costs.last().unwrap(), 2048.0);
     }
 
     #[test]

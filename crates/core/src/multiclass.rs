@@ -287,17 +287,18 @@ impl<T: Real> MultiClassModel<T> {
     }
 }
 
-/// A trained multi-class model plus the classified solve outcome of every
-/// binary subproblem — the multi-class analogue of
-/// [`crate::svm::TrainOutput::outcome`].
+/// A trained multi-class model plus the classified solve outcome and
+/// relative residual of every binary subproblem — the multi-class analogue
+/// of [`crate::svm::TrainOutput::outcome`] and
+/// [`crate::svm::TrainOutput::relative_residual`].
 #[derive(Debug)]
 pub struct MultiClassTrainOutput<T> {
     /// The trained multi-class model.
     pub model: MultiClassModel<T>,
-    /// Per-subproblem solve outcomes, keyed like
-    /// [`MultiClassModel::models`] (`(a, b)` pairs for one-vs-one,
+    /// Per-subproblem solve outcomes and final relative residuals, keyed
+    /// like [`MultiClassModel::models`] (`(a, b)` pairs for one-vs-one,
     /// `(c, i32::MIN)` for one-vs-rest).
-    pub outcomes: Vec<((i32, i32), SolveOutcome)>,
+    pub outcomes: Vec<((i32, i32), SolveOutcome, f64)>,
     /// CG iterations summed over all binary subproblems (each already
     /// summed across its escalation rungs).
     pub total_iterations: usize,
@@ -308,17 +309,12 @@ pub struct MultiClassTrainOutput<T> {
 }
 
 impl<T> MultiClassTrainOutput<T> {
-    /// Whether every binary subproblem converged.
-    pub fn all_converged(&self) -> bool {
-        self.outcomes.iter().all(|(_, o)| o.is_converged())
-    }
-
     /// The subproblems that did *not* converge, with their classified
-    /// outcomes.
-    pub fn non_converged(&self) -> Vec<((i32, i32), SolveOutcome)> {
+    /// outcomes and relative residuals.
+    pub fn non_converged(&self) -> Vec<((i32, i32), SolveOutcome, f64)> {
         self.outcomes
             .iter()
-            .filter(|(_, o)| !o.is_converged())
+            .filter(|(_, o, _)| !o.is_converged())
             .copied()
             .collect()
     }
@@ -378,7 +374,7 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
             None => None,
         };
         let out = sub.as_ref().unwrap_or(trainer).train(&subset)?;
-        outcomes.push(((a, b), out.outcome));
+        outcomes.push(((a, b), out.outcome, out.relative_residual));
         total_iterations += out.iterations;
         io_degraded |= out.io_degraded;
         models.push(((a, b), out.model));

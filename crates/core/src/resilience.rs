@@ -45,15 +45,6 @@ impl Default for IoRetryPolicy {
 }
 
 impl IoRetryPolicy {
-    /// A policy that never retries (single attempt, for tests).
-    pub fn no_retry() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
     /// The backoff before retry number `retry` (1-based), doubled each
     /// time and capped at [`IoRetryPolicy::max_backoff`].
     fn backoff(&self, retry: u32) -> Duration {
@@ -181,7 +172,12 @@ mod tests {
     #[test]
     fn no_retry_policy_fails_immediately() {
         let mut calls = 0;
-        let r: Result<(), &str> = with_io_retry(&IoRetryPolicy::no_retry(), None, "x", || {
+        let no_retry = IoRetryPolicy {
+            max_attempts: 1,
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        };
+        let r: Result<(), &str> = with_io_retry(&no_retry, None, "x", || {
             calls += 1;
             Err("nope")
         });

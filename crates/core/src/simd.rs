@@ -14,7 +14,7 @@
 //! | `avx2`   | 8         | 4         | x86-64 AVX2 + FMA      |
 //! | `avx512` | 16        | 8         | x86-64 AVX-512F        |
 //!
-//! The tier is chosen once at runtime ([`Isa::detect`], cached) from
+//! The tier is chosen once at runtime (`Isa::detect`, cached) from
 //! `is_x86_feature_detected!` / `is_aarch64_feature_detected!`, and can be
 //! overridden for reproducibility and testing with
 //! `PLSSVM_FORCE_ISA={scalar,neon,avx2,avx512}` ([`Isa::select`]). Forcing
@@ -125,7 +125,7 @@ impl Isa {
     }
 
     /// The widest tier this host supports. Detected once and cached.
-    pub fn detect() -> Isa {
+    fn detect() -> Isa {
         static DETECTED: OnceLock<Isa> = OnceLock::new();
         *DETECTED.get_or_init(|| {
             for tier in [Isa::Avx512, Isa::Avx2, Isa::Neon] {

@@ -184,14 +184,6 @@ impl<T: AtomicScalar> LsSvm<T> {
         self
     }
 
-    /// Overrides the cache tiling of the blocked CPU matvec engine (the
-    /// CLI's `--cpu-tile`). Takes effect when the "OpenMP" backend is
-    /// selected; other backends ignore it.
-    pub fn with_cpu_tiling(mut self, tiling: CpuTilingConfig) -> Self {
-        self.cpu_tiling = Some(tiling);
-        self
-    }
-
     /// Installs per-sample weights (weighted LS-SVM).
     pub fn with_sample_weights(mut self, weights: Vec<T>) -> Self {
         self.sample_weights = Some(weights);

@@ -42,7 +42,7 @@ pub struct CvResult {
 
 /// Builds stratified fold assignments: every fold receives a proportional
 /// share of each class. Returns `fold_of[i] ∈ 0..folds` per point.
-pub fn stratified_folds<T: Real>(data: &LabeledData<T>, folds: usize, seed: u64) -> Vec<usize> {
+fn stratified_folds<T: Real>(data: &LabeledData<T>, folds: usize, seed: u64) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut fold_of = vec![0usize; data.points()];
     for class_positive in [true, false] {

@@ -218,7 +218,7 @@ impl From<DataError> for CheckpointError {
 /// checksum gzip and PNG use. Hand rolled bitwise so the workspace needs
 /// no new dependency; snapshots are small enough that table-free speed
 /// is irrelevant next to the fsync.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in bytes {
         crc ^= u32::from(b);

@@ -91,12 +91,6 @@ impl<T: Real> DenseMatrix<T> {
         &self.data
     }
 
-    /// Mutable access to the flat row-major buffer.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// The features of data point `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[T] {

@@ -97,13 +97,8 @@ pub fn write_atomic_with(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(),
     result
 }
 
-/// Durably creates a directory (and its parents), fsyncing the grandparent
-/// so the new entry survives a crash. Uses [`RealVfs`].
-pub fn create_dir_durable(dir: impl AsRef<Path>) -> Result<(), DataError> {
-    create_dir_durable_with(&RealVfs, dir.as_ref())
-}
-
-/// [`create_dir_durable`] through an explicit [`Vfs`].
+/// Durably creates a directory (and its parents) through `vfs`, fsyncing
+/// the grandparent so the new entry survives a crash.
 pub fn create_dir_durable_with(vfs: &dyn Vfs, dir: &Path) -> Result<(), DataError> {
     vfs.create_dir_all(dir)
         .map_err(|e| DataError::io_path(dir, e))?;
@@ -188,8 +183,8 @@ mod tests {
     #[test]
     fn create_dir_durable_is_idempotent() {
         let dir = temp_dir("mkdir").join("a").join("b");
-        create_dir_durable(&dir).unwrap();
-        create_dir_durable(&dir).unwrap();
+        create_dir_durable_with(&RealVfs, &dir).unwrap();
+        create_dir_durable_with(&RealVfs, &dir).unwrap();
         assert!(dir.is_dir());
         fs::remove_dir_all(dir.parent().unwrap().parent().unwrap()).ok();
     }

@@ -102,16 +102,6 @@ impl<T: Real> MultiClassData<T> {
             .collect();
         LabeledData::with_label_map(self.x.clone(), y, [c, i32::MIN])
     }
-
-    /// Restricts the data to the binary case if exactly two classes are
-    /// present (lets callers reuse the binary pipeline transparently).
-    pub fn as_binary(&self) -> Option<Result<LabeledData<T>, DataError>> {
-        if self.classes.len() == 2 {
-            Some(self.pair_subset(self.classes[0], self.classes[1]))
-        } else {
-            None
-        }
-    }
 }
 
 /// A classification file parsed once: [`Classes::Binary`] when it holds at
@@ -132,12 +122,9 @@ pub enum Classes<T> {
 pub fn read_libsvm_classes_file<T: Real>(path: impl AsRef<Path>) -> Result<Classes<T>, DataError> {
     let path = path.as_ref();
     let content = std::fs::read_to_string(path).map_err(|e| DataError::io_path(path, e))?;
-    let (data, unordered) = parse_multiclass::<T>(&content, None)?;
+    let data = read_libsvm_multiclass_str::<T>(&content, None)?;
     if data.num_classes() > 2 {
         return Ok(Classes::Multi(data));
-    }
-    if let Some(e) = unordered {
-        return Err(e.with_path(path));
     }
     // order-of-appearance mapping, as the binary reader does: the first
     // label maps to +1; a one-class file maps -1 to the complement
@@ -160,24 +147,15 @@ pub fn read_libsvm_classes_file<T: Real>(path: impl AsRef<Path>) -> Result<Class
     )?))
 }
 
-/// Parses LIBSVM content with any number of integer labels.
+/// Parses LIBSVM content with any number of integer labels. Feature
+/// indices must increase strictly along each line, as for the binary
+/// reader.
 pub fn read_libsvm_multiclass_str<T: Real>(
     content: &str,
     num_features: Option<usize>,
 ) -> Result<MultiClassData<T>, DataError> {
-    parse_multiclass(content, num_features).map(|(data, _)| data)
-}
-
-/// The multi-class parser. Alongside the data it returns the error the
-/// binary reader raises at the first feature index that does not
-/// increase strictly along its line; multi-class input tolerates those.
-fn parse_multiclass<T: Real>(
-    content: &str,
-    num_features: Option<usize>,
-) -> Result<(MultiClassData<T>, Option<DataError>), DataError> {
     let mut rows: Vec<(i32, Vec<(usize, T)>)> = Vec::new();
     let mut max_index = 0usize;
-    let mut unordered = None;
     for (lineno, line) in content.lines().enumerate() {
         let lineno = lineno + 1;
         let line = line.trim();
@@ -225,8 +203,8 @@ fn parse_multiclass<T: Real>(
             let val: T = val_s.trim().parse().map_err(|_| {
                 DataError::parse_at(lineno, col, format!("invalid value '{val_s}'"))
             })?;
-            if unordered.is_none() && entries.last().is_some_and(|&(prev, _)| idx - 1 <= prev) {
-                unordered = Some(DataError::parse_at(
+            if entries.last().is_some_and(|&(prev, _)| idx - 1 <= prev) {
+                return Err(DataError::parse_at(
                     lineno,
                     col,
                     format!("feature indices must be strictly increasing (index {idx})"),
@@ -265,7 +243,7 @@ fn parse_multiclass<T: Real>(
             row[idx] = val;
         }
     }
-    Ok((MultiClassData::new(x, labels)?, unordered))
+    MultiClassData::new(x, labels)
 }
 
 /// Reads a multi-class LIBSVM file from disk.
@@ -291,6 +269,8 @@ mod tests {
             ("one_class", "2 1:0.25 2:1\n2 2:-3\n"),
             ("unordered", "1 1:1 3:2\n-1 3:1 2:5\n"),
             ("repeated", "1 2:1 2:2\n-1 1:1\n"),
+            ("unordered_3class", "1 1:1 3:2\n2 3:1 2:5\n3 1:1\n"),
+            ("repeated_3class", "1 2:1 2:5\n2 1:1\n3 1:2\n"),
             ("bad_value", "1 1:x\n-1 1:1\n"),
             ("empty", "\n"),
         ];
@@ -302,8 +282,12 @@ mod tests {
             match (once, binary) {
                 (Ok(Classes::Binary(got)), Ok(want)) => assert_eq!(got, want, "{name}"),
                 (Err(got), Err(want)) => {
-                    // the multi-class parser reports the syntax errors
-                    // first, as svm-train always has
+                    // an index-order error is the binary reader's own, at
+                    // any label count; the multi-class parser reports the
+                    // other syntax errors first, as svm-train always has
+                    if name.starts_with("unordered") || name.starts_with("repeated") {
+                        assert_eq!(got.to_string(), want.to_string(), "{name}");
+                    }
                     let multi = read_libsvm_multiclass_file::<f64>(&path, None);
                     let want = multi.err().unwrap_or(want).to_string();
                     assert_eq!(got.to_string(), want, "{name}");
@@ -312,7 +296,7 @@ mod tests {
             }
         }
         let path = dir.join("three.libsvm");
-        std::fs::write(&path, "3 1:1\n1 2:1 1:2\n2 1:0.5\n").unwrap();
+        std::fs::write(&path, "3 1:1\n1 1:2 2:1\n2 1:0.5\n").unwrap();
         match read_libsvm_classes_file::<f64>(&path).unwrap() {
             Classes::Multi(got) => {
                 assert_eq!(got, read_libsvm_multiclass_file(&path, None).unwrap())
@@ -365,16 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_detection() {
-        let d: MultiClassData<f64> =
-            read_libsvm_multiclass_str("1 1:1\n-1 1:2\n1 1:3\n", None).unwrap();
-        let bin = d.as_binary().unwrap().unwrap();
-        assert_eq!(bin.label_map, [-1, 1]); // classes sorted ascending
-        let d3: MultiClassData<f64> = read_libsvm_multiclass_str(SAMPLE, None).unwrap();
-        assert!(d3.as_binary().is_none());
-    }
-
-    #[test]
     fn rejects_bad_input() {
         assert!(read_libsvm_multiclass_str::<f64>("", None).is_err());
         assert!(read_libsvm_multiclass_str::<f64>("1.5 1:1\n", None).is_err());
@@ -389,6 +363,5 @@ mod tests {
     fn single_class_is_allowed_at_data_level() {
         let d: MultiClassData<f64> = read_libsvm_multiclass_str("5 1:1\n5 1:2\n", None).unwrap();
         assert_eq!(d.num_classes(), 1);
-        assert!(d.as_binary().is_none());
     }
 }

@@ -97,43 +97,6 @@ impl<T: Real> CsrMatrix<T> {
         acc
     }
 
-    /// Squared euclidean distance between two rows:
-    /// `‖a‖² + ‖b‖² − 2⟨a,b⟩` computed sparsely by index merge (exact,
-    /// without materializing either row).
-    pub fn sparse_dist_sq(&self, i: usize, j: usize) -> T {
-        let (ia, va) = self.row(i);
-        let (ib, vb) = self.row(j);
-        let mut acc = T::ZERO;
-        let (mut p, mut q) = (0usize, 0usize);
-        while p < ia.len() && q < ib.len() {
-            match ia[p].cmp(&ib[q]) {
-                std::cmp::Ordering::Equal => {
-                    let d = va[p] - vb[q];
-                    acc = d.mul_add(d, acc);
-                    p += 1;
-                    q += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    acc = va[p].mul_add(va[p], acc);
-                    p += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    acc = vb[q].mul_add(vb[q], acc);
-                    q += 1;
-                }
-            }
-        }
-        while p < ia.len() {
-            acc = va[p].mul_add(va[p], acc);
-            p += 1;
-        }
-        while q < ib.len() {
-            acc = vb[q].mul_add(vb[q], acc);
-            q += 1;
-        }
-        acc
-    }
-
     /// Reconstructs the dense representation.
     pub fn to_dense(&self) -> DenseMatrix<T> {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
@@ -202,31 +165,9 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dist_matches_dense() {
-        let d = sample();
-        let csr = CsrMatrix::from_dense(&d);
-        for i in 0..4 {
-            for j in 0..4 {
-                let dense: f64 = (0..4)
-                    .map(|f| {
-                        let diff = d.get(i, f) - d.get(j, f);
-                        diff * diff
-                    })
-                    .sum();
-                assert!(
-                    (csr.sparse_dist_sq(i, j) - dense).abs() < 1e-12,
-                    "dist({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn empty_row_dots_to_zero() {
         let csr = CsrMatrix::from_dense(&sample());
         assert_eq!(csr.sparse_dot(2, 3), 0.0);
-        // dist(empty, row3) = ||row3||²
-        assert_eq!(csr.sparse_dist_sq(2, 3), 25.0 + 36.0 + 49.0 + 64.0);
     }
 
     #[test]

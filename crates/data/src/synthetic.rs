@@ -32,7 +32,7 @@ pub fn standard_normal(rng: &mut impl Rng) -> f64 {
 }
 
 /// Fills `out` with i.i.d. standard-normal samples.
-pub fn fill_standard_normal(rng: &mut impl Rng, out: &mut [f64]) {
+fn fill_standard_normal(rng: &mut impl Rng, out: &mut [f64]) {
     for v in out {
         *v = standard_normal(rng);
     }

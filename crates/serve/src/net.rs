@@ -15,7 +15,7 @@
 //!
 //! The transport is where overload hardening meets the outside world:
 //!
-//! * Reads go through [`read_request_line`], which enforces a per-line
+//! * Reads go through `read_request_line`, which enforces a per-line
 //!   byte cap and a per-line time budget — a slowloris peer dribbling
 //!   bytes or an endless unterminated line gets a structured error and
 //!   a close, never a pinned thread.
@@ -67,7 +67,7 @@ pub const ERR_REFUSED_DRAINING_LINE: &str = r#"{"error":"shutting_down"}"#;
 ///
 /// The default implementation is a no-op (in-memory readers and stdin
 /// cannot time out); the [`TcpStream`]-backed implementation arms the
-/// socket's read timeout so [`read_request_line`] can enforce a per-line
+/// socket's read timeout so the request reader can enforce a per-line
 /// budget against a stalled peer.
 pub trait TimedRead: BufRead {
     /// Bounds how long one underlying read may block. `None` disables.
@@ -76,7 +76,7 @@ pub trait TimedRead: BufRead {
     }
 
     /// Whether a complete line is already buffered, so the next
-    /// [`read_request_line`] cannot block. The default `false` makes the
+    /// the request reader cannot block. The default `false` makes the
     /// reader wake the engine after every line.
     fn line_buffered(&self) -> bool {
         false
@@ -140,7 +140,7 @@ pub enum LineRead {
 /// read can exceed it either. Invalid UTF-8 is replaced (the parse layer
 /// then rejects it as a malformed request) — a binary-garbage client
 /// gets a structured error, never a dropped connection.
-pub fn read_request_line(
+fn read_request_line(
     input: &mut impl TimedRead,
     budget: Option<Duration>,
 ) -> std::io::Result<LineRead> {

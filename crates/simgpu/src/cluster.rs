@@ -187,20 +187,6 @@ impl ClusterContext {
             .max()
             .unwrap_or(0)
     }
-
-    /// Load-balancing weights for a compute-bound feature split: each
-    /// device receives features proportionally to its achievable FP64
-    /// throughput (peak × backend efficiency) — the "load balancing on
-    /// heterogeneous hardware" of §V.
-    pub fn balanced_feature_weights(&self) -> Vec<f64> {
-        self.devices
-            .iter()
-            .map(|d| {
-                let profile = crate::hw::backend_profile(d.backend(), d.spec());
-                d.spec().peak_flops(crate::hw::Precision::F64) * profile.compute_efficiency
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -236,21 +222,6 @@ mod tests {
         assert_eq!(cluster.node_of(0), 0);
         assert_eq!(cluster.node_of(3), 1);
         assert_eq!(cluster.devices()[3].spec().name, "NVIDIA V100");
-    }
-
-    #[test]
-    fn balanced_weights_favour_faster_devices() {
-        let cluster = ClusterContext::new(
-            &[NodeConfig {
-                devices: vec![(A100, Backend::Cuda), (V100, Backend::Cuda)],
-            }],
-            Interconnect::HDR_INFINIBAND,
-        );
-        let w = cluster.balanced_feature_weights();
-        assert_eq!(w.len(), 2);
-        // A100 (9.7 TF) should receive ~9.7/7.0 times the V100's share
-        let ratio = w[0] / w[1];
-        assert!((ratio - 9.7 / 7.0).abs() < 1e-9, "{ratio}");
     }
 
     #[test]

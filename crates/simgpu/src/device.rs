@@ -255,7 +255,7 @@ impl SimDevice {
 /// A plain device-global buffer.
 ///
 /// Kernels read it through [`DeviceBuffer::as_slice`]; writes from the host
-/// go through the tracked [`DeviceBuffer::write_from_host`].
+/// go through the tracked upload of [`SimDevice::copy_to_device`].
 pub struct DeviceBuffer<T> {
     data: Box<[T]>,
     state: Arc<DeviceState>,
@@ -288,7 +288,7 @@ impl<T: Real> DeviceBuffer<T> {
     }
 
     /// Uploads host data into the buffer (tracked H2D transfer).
-    pub fn write_from_host(&mut self, src: &[T]) -> Result<(), SimGpuError> {
+    fn write_from_host(&mut self, src: &[T]) -> Result<(), SimGpuError> {
         if src.len() != self.data.len() {
             return Err(SimGpuError::TransferSizeMismatch {
                 src: src.len(),
@@ -436,13 +436,6 @@ impl<T: AtomicScalar> AtomicBuffer<T> {
         T::atomic_store(&self.data[i], v);
     }
 
-    /// Resets all elements to zero (device-side `cudaMemset`).
-    pub fn zero_fill(&self) {
-        for cell in self.data.iter() {
-            T::atomic_store(cell, T::ZERO);
-        }
-    }
-
     /// Downloads the buffer to the host (tracked D2H transfer).
     pub fn read_to_host(&self) -> Vec<T> {
         let bytes = self.bytes;
@@ -452,26 +445,6 @@ impl<T: AtomicScalar> AtomicBuffer<T> {
             .lock()
             .record_transfer(false, bytes as u64, t);
         self.data.iter().map(|c| T::atomic_load(c)).collect()
-    }
-
-    /// Uploads host data (tracked H2D transfer).
-    pub fn write_from_host(&self, src: &[T]) -> Result<(), SimGpuError> {
-        if src.len() != self.data.len() {
-            return Err(SimGpuError::TransferSizeMismatch {
-                src: src.len(),
-                dst: self.data.len(),
-            });
-        }
-        for (cell, &v) in self.data.iter().zip(src) {
-            T::atomic_store(cell, v);
-        }
-        let bytes = self.bytes;
-        let t = transfer_time_s(&self.state.spec, bytes as u64);
-        self.state
-            .perf
-            .lock()
-            .record_transfer(true, bytes as u64, t);
-        Ok(())
     }
 }
 
@@ -564,8 +537,7 @@ mod tests {
         buf.set(1, -3.0);
         assert_eq!(buf.get(0), 4.0);
         assert_eq!(buf.get(1), -3.0);
-        buf.zero_fill();
-        assert_eq!(buf.read_to_host(), vec![0.0; 4]);
+        assert_eq!(buf.read_to_host(), vec![4.0, -3.0, 0.0, 0.0]);
     }
 
     #[test]

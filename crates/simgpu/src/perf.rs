@@ -123,11 +123,6 @@ impl PerfReport {
             .map(|k| k.achieved_flops() / spec.peak_flops(precision))
             .unwrap_or(0.0)
     }
-
-    /// Peak allocated memory in GiB (the unit of the paper's Fig. 4b text).
-    pub fn peak_allocated_gib(&self) -> f64 {
-        self.peak_allocated_bytes as f64 / (1u64 << 30) as f64
-    }
 }
 
 /// Roofline estimate for one kernel launch, in seconds. Public so that
@@ -236,7 +231,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(r.sim_total_time_s(), 1.5);
-        assert_eq!(r.peak_allocated_gib(), 1.0);
         // 3.104 TFLOP/s on a 9.7 TFLOP/s device = 32 % of peak (the paper's
         // reported kernel efficiency)
         let frac = r.peak_fraction("matvec", &A100, Precision::F64);

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use plssvm::core::backend::{BackendSelection, Prepared};
-use plssvm::core::cg::{conjugate_gradients, conjugate_gradients_resume, CgConfig, LinOp};
+use plssvm::core::cg::{conjugate_gradients, CgConfig, LinOp};
 use plssvm::core::kernel::kernel_row;
 use plssvm::core::matrix_free::{assemble_q_tilde, bias, full_alpha, reduced_rhs, QTildeParams};
 use plssvm::core::svm::LsSvm;
@@ -130,7 +130,7 @@ proptest! {
         let params = QTildeParams::compute(&soa, &kernel, c);
         let prepared = Prepared::new(&BackendSelection::Serial, &data.x, None, &kernel, c).unwrap();
         let rhs = reduced_rhs(&data.y);
-        let solve = conjugate_gradients(&prepared, &rhs, &CgConfig::with_epsilon(1e-12));
+        let solve = conjugate_gradients(&prepared, &rhs, &CgConfig::with_epsilon(1e-12), None, None, None, None);
         prop_assume!(solve.converged);
         let b = bias(&params, &data.y, &solve.x);
         let alpha = full_alpha(&solve.x);
@@ -230,15 +230,16 @@ proptest! {
         let prepared = Prepared::new(&BackendSelection::Serial, &data.x, None, &kernel, c).unwrap();
         let rhs = reduced_rhs(&data.y);
         let cfg = CgConfig::with_epsilon(1e-10);
-        let full = conjugate_gradients(&prepared, &rhs, &cfg);
+        let full = conjugate_gradients(&prepared, &rhs, &cfg, None, None, None, None);
 
-        let interrupted = conjugate_gradients(&prepared, &rhs, &CgConfig {
+        let stop_cfg = CgConfig {
             max_iterations: Some(stop),
             checkpoint_interval: Some(1),
             ..CgConfig::with_epsilon(1e-10)
-        });
+        };
+        let interrupted = conjugate_gradients(&prepared, &rhs, &stop_cfg, None, None, None, None);
         let state = interrupted.checkpoint.expect("checkpointing enabled");
-        let resumed = conjugate_gradients_resume(&prepared, &rhs, &cfg, &state);
+        let resumed = conjugate_gradients(&prepared, &rhs, &cfg, None, None, Some(&state), None);
         prop_assert_eq!(&resumed.x, &full.x);
         prop_assert_eq!(resumed.iterations, full.iterations);
         prop_assert_eq!(resumed.converged, full.converged);
