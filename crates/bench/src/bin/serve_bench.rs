@@ -24,7 +24,6 @@ use std::time::{Duration, Instant};
 use plssvm_bench::results_path;
 use plssvm_bench::stats::percentile;
 use plssvm_core::svm::LsSvm;
-use plssvm_core::trace::{MetricsSink, Telemetry};
 use plssvm_data::synthetic::{generate_planes, PlanesConfig};
 use plssvm_serve::{
     serve_tcp, ConnectionOptions, Engine, EngineConfig, ServeModel, ServerControl, SystemClock,
@@ -83,12 +82,10 @@ fn with_server<T, F>(config: EngineConfig, clients: F) -> T
 where
     F: FnOnce(std::net::SocketAddr) -> T,
 {
-    // telemetry on, as in svm-serve
     let engine = Arc::new(Engine::new(
         build_model(),
         config,
         Arc::new(SystemClock::new()),
-        Some(Telemetry::shared() as Arc<dyn MetricsSink>),
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");

@@ -32,7 +32,7 @@ use plssvm_data::{write_atomic, CheckpointJournal, DataError, FaultVfs, RealVfs}
 
 use plssvm_serve::{
     serve_lines, serve_tcp, spawn_watcher, ConnectionOptions, Engine, EngineConfig, PollTrigger,
-    ServeModel, ServerControl, SystemClock,
+    ServeModel, ServeStats, ServerControl, SystemClock,
 };
 
 use crate::args::{
@@ -578,7 +578,7 @@ fn run_train_multiclass(
     // the worst subproblem outcome drives the --on-nonconverged policy
     let mut warning = None;
     let non_converged = out.non_converged();
-    if let Some(((a, b), worst, relative_residual)) = non_converged.first().copied() {
+    if let Some(((a, b), worst, relative_residual, iterations)) = non_converged.first().copied() {
         let pair = if b == i32::MIN {
             format!("{a} vs rest")
         } else {
@@ -589,7 +589,7 @@ fn run_train_multiclass(
                 return Err(Box::new(SvmError::NonConverged {
                     outcome: worst,
                     relative_residual,
-                    iterations: out.total_iterations,
+                    iterations,
                 }))
             }
             NonConvergedAction::Warn => {
@@ -775,9 +775,6 @@ pub fn run_generate(args: &GenerateArgs) -> Result<String, Box<dyn Error>> {
 pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
     let model =
         ServeModel::load(&args.model).map_err(|e| format!("loading '{}': {e}", args.model))?;
-    // telemetry is always on: the overload counters feed the final
-    // drain summary even when --metrics-out is absent
-    let telemetry = Telemetry::shared();
     let engine = Arc::new(Engine::new(
         model,
         EngineConfig {
@@ -786,7 +783,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
             deadline_us: args.deadline_us,
         },
         Arc::new(SystemClock::new()),
-        Some(Arc::clone(&telemetry) as Arc<dyn MetricsSink>),
     ));
     if let Some(warning) = force_isa_warning() {
         eprint!("svm-serve: {warning}");
@@ -819,9 +815,9 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
             Box::new(trigger),
         );
     }
-    let snapshot = || {
+    let write_metrics = |stats: &ServeStats| {
         if let Some(path) = &args.metrics_out {
-            if let Err(e) = write_atomic(path, telemetry.report().to_json_lines().as_bytes()) {
+            if let Err(e) = write_atomic(path, stats.to_json_lines().as_bytes()) {
                 eprintln!("svm-serve: failed to write metrics to '{path}': {e}");
             }
         }
@@ -842,12 +838,6 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
                 std::io::BufReader::new(std::io::stdin()),
                 std::io::BufWriter::new(stdout.lock()),
             )?;
-            engine.shutdown();
-            snapshot();
-            if !args.quiet {
-                eprintln!("svm-serve: input closed, exiting");
-                eprint_drain_summary(&telemetry);
-            }
         }
         Some(addr) => {
             let listener =
@@ -866,33 +856,32 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), Box<dyn Error>> {
                 &control,
                 opts,
                 crate::signals::drain_flag(),
-                &snapshot,
+                &|| write_metrics(&engine.stats()),
             )?;
-            engine.shutdown();
-            snapshot();
-            if !args.quiet {
-                eprint_drain_summary(&telemetry);
-            }
         }
     }
+    engine.shutdown();
+    let serve = engine.stats();
+    write_metrics(&serve);
+    if !args.quiet {
+        if args.listen.is_none() {
+            eprintln!("svm-serve: input closed, exiting");
+        }
+        // the final drain summary: counts only (no timings), so a fixed
+        // request schedule prints byte-identical lines across runs
+        eprintln!(
+            "svm-serve: drained; requests={} errors={} shed_overloaded={} deadline_exceeded={} \
+             rejected_draining={} refused_connections={} reload_backoffs={}",
+            serve.requests,
+            serve.request_errors,
+            serve.shed_overloaded,
+            serve.shed_deadline,
+            serve.shed_draining,
+            serve.refused_connections,
+            serve.reload_backoffs.len(),
+        );
+    }
     Ok(())
-}
-
-/// The final deterministic drain summary: counts only (no timings), so
-/// a fixed request schedule prints byte-identical lines across runs.
-fn eprint_drain_summary(telemetry: &Telemetry) {
-    let serve = telemetry.report().serve;
-    eprintln!(
-        "svm-serve: drained; requests={} errors={} shed_overloaded={} deadline_exceeded={} \
-         rejected_draining={} refused_connections={} reload_backoffs={}",
-        serve.requests,
-        serve.request_errors,
-        serve.shed_overloaded,
-        serve.shed_deadline,
-        serve.shed_draining,
-        serve.refused_connections,
-        serve.reload_backoffs.len(),
-    );
 }
 
 #[cfg(test)]
@@ -1715,8 +1704,10 @@ mod tests {
         assert!(model.exists());
 
         // multi-class input reports the first failing subproblem's residual
+        // and its own iteration count, not the sum over all subproblems
         let blobs = multiclass_file("nonconverged_mc");
-        let err = train_error(&blobs, &["-e", "1e-300", "--on-nonconverged", "error"]);
+        let flags = ["-e", "1e-300", "--on-nonconverged", "error"];
+        let err = train_error(&blobs, &flags);
         let residual: f64 = err
             .split("relative residual ")
             .nth(1)
@@ -1724,6 +1715,26 @@ mod tests {
             .and_then(|s| s.parse().ok())
             .unwrap_or_else(|| panic!("no relative residual in {err:?}"));
         assert!(residual.is_finite() && !err.contains("NaN"), "{err}");
+        let iterations: usize = err
+            .split(" after ")
+            .nth(1)
+            .and_then(|s| s.split(' ').next())
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no iteration count in {err:?}"));
+        let mut argv = sv(&flags);
+        argv.extend([
+            blobs.to_str().unwrap().to_owned(),
+            "unused.model".to_owned(),
+        ]);
+        let args = parse_train(&argv).unwrap();
+        let data = read_libsvm_multiclass_file::<f64>(&blobs, None).unwrap();
+        let trainer = lssvm_trainer(&args, data.features(), &vfs_for(&args), None).unwrap();
+        let out =
+            train_multiclass_with_outcomes(&data, &trainer, MultiClassStrategy::OneVsOne).unwrap();
+        let first = out.non_converged()[0];
+        assert_eq!(iterations, first.3, "{err}");
+        let total: usize = out.outcomes.iter().map(|o| o.3).sum();
+        assert!(iterations < total, "{iterations} vs sum {total}");
     }
 
     fn planes_file(dir: &std::path::Path, points: &str, seed: &str) -> std::path::PathBuf {

@@ -1,7 +1,8 @@
 //! Real-binary drain tests: `svm-serve` under SIGTERM and the
 //! `shutdown` control line must finish in-flight work, print the
 //! deterministic drain summary, and exit 0 — the contract an init
-//! system or rolling deploy relies on.
+//! system or rolling deploy relies on. A stdin run also checks that
+//! `--metrics-out` receives the serving telemetry.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -104,5 +105,42 @@ fn shutdown_control_line_drains_the_binary_to_exit_zero() {
     assert!(
         stderr.contains("svm-serve: drained; requests=1 errors=0"),
         "missing drain summary in stderr:\n{stderr}"
+    );
+}
+
+#[test]
+fn metrics_out_over_stdin_writes_the_serve_lines() {
+    let model = model_file("metrics");
+    let metrics = model.with_file_name("serve.jsonl");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_svm-serve"))
+        .args(["--reload-poll-ms", "0", "--metrics-out"])
+        .arg(&metrics)
+        .arg(&model)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn svm-serve");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"1 1:3 2:1\n1:0 2:5\n1 1:1\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "1\n-1\n1\n");
+    assert!(
+        stderr.contains("svm-serve: drained; requests=3 errors=0"),
+        "{stderr}"
+    );
+    let json = std::fs::read_to_string(&metrics).unwrap();
+    let has = |prefix: &str| json.lines().any(|l| l.starts_with(prefix));
+    assert!(has(r#"{"type":"serve_batches","count":"#), "{json}");
+    assert!(has(r#"{"type":"serve_batch_size","size":"#), "{json}");
+    assert!(
+        has(r#"{"type":"serve_requests","count":3,"errors":0,"#),
+        "{json}"
     );
 }

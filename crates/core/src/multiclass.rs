@@ -295,13 +295,11 @@ impl<T: Real> MultiClassModel<T> {
 pub struct MultiClassTrainOutput<T> {
     /// The trained multi-class model.
     pub model: MultiClassModel<T>,
-    /// Per-subproblem solve outcomes and final relative residuals, keyed
-    /// like [`MultiClassModel::models`] (`(a, b)` pairs for one-vs-one,
-    /// `(c, i32::MIN)` for one-vs-rest).
-    pub outcomes: Vec<((i32, i32), SolveOutcome, f64)>,
-    /// CG iterations summed over all binary subproblems (each already
-    /// summed across its escalation rungs).
-    pub total_iterations: usize,
+    /// Per-subproblem solve outcomes, final relative residuals and CG
+    /// iterations (summed across the subproblem's escalation rungs),
+    /// keyed like [`MultiClassModel::models`] (`(a, b)` pairs for
+    /// one-vs-one, `(c, i32::MIN)` for one-vs-rest).
+    pub outcomes: Vec<((i32, i32), SolveOutcome, f64, usize)>,
     /// True when any binary subproblem lost its durable checkpointing to
     /// persistent storage failures (see
     /// [`crate::svm::TrainOutput::io_degraded`]).
@@ -310,11 +308,11 @@ pub struct MultiClassTrainOutput<T> {
 
 impl<T> MultiClassTrainOutput<T> {
     /// The subproblems that did *not* converge, with their classified
-    /// outcomes and relative residuals.
-    pub fn non_converged(&self) -> Vec<((i32, i32), SolveOutcome, f64)> {
+    /// outcomes, relative residuals and iterations.
+    pub fn non_converged(&self) -> Vec<((i32, i32), SolveOutcome, f64, usize)> {
         self.outcomes
             .iter()
-            .filter(|(_, o, _)| !o.is_converged())
+            .filter(|(_, o, _, _)| !o.is_converged())
             .copied()
             .collect()
     }
@@ -354,7 +352,6 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
     };
     let mut models = Vec::new();
     let mut outcomes = Vec::new();
-    let mut total_iterations = 0;
     let mut io_degraded = false;
     for (task, &(a, b)) in keys.iter().enumerate() {
         let subset = match strategy {
@@ -374,8 +371,7 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
             None => None,
         };
         let out = sub.as_ref().unwrap_or(trainer).train(&subset)?;
-        outcomes.push(((a, b), out.outcome, out.relative_residual));
-        total_iterations += out.iterations;
+        outcomes.push(((a, b), out.outcome, out.relative_residual, out.iterations));
         io_degraded |= out.io_degraded;
         models.push(((a, b), out.model));
     }
@@ -386,7 +382,6 @@ pub fn train_multiclass_with_outcomes<T: AtomicScalar>(
             models,
         },
         outcomes,
-        total_iterations,
         io_degraded,
     })
 }

@@ -264,157 +264,6 @@ pub struct DispatchSample {
     pub lanes_f64: usize,
 }
 
-/// One flushed micro-batch of the serving layer (`svm-serve`): how many
-/// coalesced requests it carried, how long the oldest of them queued, and
-/// how long the batched prediction took. Timing fields are measured on the
-/// server's injected clock, so they are deterministic exactly when the
-/// clock is (manual clocks in tests, wall time in production) — serve
-/// samples are therefore excluded from
-/// [`TelemetryReport::deterministic_summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeBatchSample {
-    /// Requests coalesced into this batch.
-    pub batch_size: usize,
-    /// Requests still queued after this batch was taken.
-    pub queue_depth: usize,
-    /// Queue wait of the oldest request in the batch, in clock µs.
-    pub queued_us: u64,
-    /// Batched prediction time, in clock µs.
-    pub process_us: u64,
-}
-
-/// One completed serving request: submit-to-response latency and whether
-/// it produced a prediction (vs a structured per-request error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeRequestSample {
-    /// Submit-to-response latency in clock µs.
-    pub latency_us: u64,
-    /// `true` when the request was answered with a prediction.
-    pub ok: bool,
-}
-
-/// One model hot-reload attempt of the serving layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServeReloadSample {
-    /// The model generation serving *after* the attempt (bumped on an
-    /// accepted swap, unchanged on a rejected one).
-    pub generation: u64,
-    /// Whether the new model file was validated and swapped in.
-    pub accepted: bool,
-    /// Human-readable context (model kind/features, or the load error).
-    pub detail: String,
-}
-
-/// Why the serving layer refused to do work — the overload-control events
-/// of `svm-serve`'s admission/deadline/drain layer. Every shed request or
-/// refused connection still receives a structured reply; these samples are
-/// the server-side count of those replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeShedKind {
-    /// A request was shed at admission: the batch queue was at its
-    /// watermark, so the request was answered `overloaded` immediately
-    /// instead of queuing unboundedly.
-    Overloaded,
-    /// An admitted request waited past its deadline and was answered
-    /// `deadline_exceeded` at dequeue time without taking a batch slot.
-    DeadlineExceeded,
-    /// A request arrived while the server was draining and was answered
-    /// `shutting_down`.
-    ShuttingDown,
-    /// A connection was refused at the `--max-connections` cap (answered
-    /// with a one-line structured error before close).
-    RefusedConnection,
-}
-
-/// One engagement of the hot-reload circuit breaker: after a run of
-/// consecutive failed reloads the watcher backs off exponentially while
-/// the old generation keeps serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeReloadBackoffSample {
-    /// Consecutive failed reload attempts when the backoff engaged.
-    pub consecutive_failures: u64,
-    /// How long reload attempts are suppressed, in clock µs.
-    pub backoff_us: u64,
-}
-
-/// Bounded-memory aggregation of the serving layer's telemetry: batch-size
-/// histogram, queue/latency counters and the reload audit trail. A
-/// long-lived server records unbounded request streams, so per-request
-/// samples are folded into counters instead of stored.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeStats {
-    /// Micro-batches flushed.
-    pub batches: u64,
-    /// Batch-size histogram: `size → batches of exactly that size`.
-    pub batch_size_hist: BTreeMap<usize, u64>,
-    /// Largest queue depth observed at a batch flush.
-    pub max_queue_depth: usize,
-    /// Sum over batches of the oldest request's queue wait (clock µs).
-    pub queued_us_sum: u64,
-    /// Sum of batched prediction times (clock µs).
-    pub process_us_sum: u64,
-    /// Requests answered (predictions and structured errors).
-    pub requests: u64,
-    /// Requests answered with a structured per-request error.
-    pub request_errors: u64,
-    /// Sum of request latencies (clock µs).
-    pub latency_us_sum: u64,
-    /// Largest single request latency (clock µs).
-    pub latency_us_max: u64,
-    /// Every hot-reload attempt, in order (reloads are rare events, so
-    /// the full audit trail is kept).
-    pub reloads: Vec<ServeReloadSample>,
-    /// Requests shed at admission with an `overloaded` reply.
-    pub shed_overloaded: u64,
-    /// Admitted requests answered `deadline_exceeded` at dequeue time.
-    pub shed_deadline: u64,
-    /// Requests answered `shutting_down` while the server drained.
-    pub shed_draining: u64,
-    /// Connections refused at the connection cap (each got a one-line
-    /// structured error before close).
-    pub refused_connections: u64,
-    /// Every engagement of the reload circuit breaker, in order.
-    pub reload_backoffs: Vec<ServeReloadBackoffSample>,
-}
-
-impl ServeStats {
-    /// Whether anything was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.batches == 0 && self.requests == 0 && self.reloads.is_empty() && !self.overloaded()
-    }
-
-    /// Whether any overload-control event (shed, deadline, drain
-    /// rejection, refused connection, reload backoff) was recorded.
-    pub fn overloaded(&self) -> bool {
-        self.shed_overloaded > 0
-            || self.shed_deadline > 0
-            || self.shed_draining > 0
-            || self.refused_connections > 0
-            || !self.reload_backoffs.is_empty()
-    }
-
-    /// Mean batch size (0 when no batch flushed).
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        let total: u64 = self
-            .batch_size_hist
-            .iter()
-            .map(|(size, count)| *size as u64 * count)
-            .sum();
-        total as f64 / self.batches as f64
-    }
-
-    /// Mean request latency in clock µs (0 when no request completed).
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        self.latency_us_sum as f64 / self.requests as f64
-    }
-}
-
 /// Aggregated counters for one kernel name — the unified schema the
 /// per-backend bookkeeping folds into.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -473,78 +322,30 @@ pub trait MetricsSink: Send + Sync {
     fn record_span(&self, path: &str, wall: Duration);
 
     /// Records one fault-tolerance event (retry, failover, straggler,
-    /// checkpoint). Default: discard — sinks that predate the recovery
-    /// schema keep compiling and simply ignore these events.
-    fn record_recovery(&self, sample: RecoverySample) {
-        let _ = sample;
-    }
+    /// checkpoint).
+    fn record_recovery(&self, sample: RecoverySample);
 
     /// Records `evals` *physical* kernel evaluations performed under
     /// kernel `name` — the complement to the logical
     /// [`MetricsSink::record_launch`] counters: symmetric CPU schedules
     /// report `n(n+1)/2` per matvec where the logical convention counts
-    /// `n²` entries. Default: discard — sinks that predate this channel
-    /// keep compiling.
-    fn record_kernel_evals(&self, name: &str, evals: u128) {
-        let _ = (name, evals);
-    }
+    /// `n²` entries.
+    fn record_kernel_evals(&self, name: &str, evals: u128);
 
     /// Records the final classification of a CG solve (or escalation
     /// ladder). Recorded last; when several solves share one sink the
-    /// most recent outcome wins. Default: discard — sinks that predate
-    /// the guardrail schema keep compiling.
-    fn record_cg_outcome(&self, sample: CgOutcomeSample) {
-        let _ = sample;
-    }
+    /// most recent outcome wins.
+    fn record_cg_outcome(&self, sample: CgOutcomeSample);
 
     /// Records one randomized low-rank (Nyström) solve: rank, strategy,
     /// factorization cost and achieved accuracy. When several solves share
-    /// one sink the most recent sample wins. Default: discard — sinks
-    /// that predate the low-rank solver keep compiling.
-    fn record_lowrank(&self, sample: LowRankSample) {
-        let _ = sample;
-    }
+    /// one sink the most recent sample wins.
+    fn record_lowrank(&self, sample: LowRankSample);
 
     /// Records the SIMD dispatch decision of a blocked CPU backend (ISA
     /// tier, forced/auto, panel and lane geometry). When several backends
-    /// share one sink the most recent sample wins. Default: discard —
-    /// sinks that predate the SIMD engine keep compiling.
-    fn record_dispatch(&self, sample: DispatchSample) {
-        let _ = sample;
-    }
-
-    /// Records one flushed serving micro-batch. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_batch(&self, sample: ServeBatchSample) {
-        let _ = sample;
-    }
-
-    /// Records one completed serving request. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_request(&self, sample: ServeRequestSample) {
-        let _ = sample;
-    }
-
-    /// Records one model hot-reload attempt. Default: discard — sinks
-    /// that predate the serving layer keep compiling.
-    fn record_serve_reload(&self, sample: ServeReloadSample) {
-        let _ = sample;
-    }
-
-    /// Records one overload-control event of the serving layer (shed
-    /// request, expired deadline, drain rejection, or refused
-    /// connection). Default: discard — sinks that predate the overload
-    /// layer keep compiling.
-    fn record_serve_shed(&self, kind: ServeShedKind) {
-        let _ = kind;
-    }
-
-    /// Records one engagement of the hot-reload circuit breaker.
-    /// Default: discard — sinks that predate the overload layer keep
-    /// compiling.
-    fn record_serve_reload_backoff(&self, sample: ServeReloadBackoffSample) {
-        let _ = sample;
-    }
+    /// share one sink the most recent sample wins.
+    fn record_dispatch(&self, sample: DispatchSample);
 }
 
 #[derive(Debug, Default)]
@@ -559,7 +360,6 @@ struct TelemetryState {
     dispatch: Option<DispatchSample>,
     spans: Vec<SpanRecord>,
     recovery: Vec<RecoverySample>,
-    serve: ServeStats,
 }
 
 /// The standard [`MetricsSink`]: collects everything behind a lock and
@@ -617,7 +417,6 @@ impl Telemetry {
             dispatch: s.dispatch,
             spans: s.spans.clone(),
             recovery: s.recovery.clone(),
-            serve: s.serve.clone(),
         }
     }
 
@@ -675,46 +474,6 @@ impl MetricsSink for Telemetry {
     fn record_dispatch(&self, sample: DispatchSample) {
         self.lock().dispatch = Some(sample);
     }
-
-    fn record_serve_batch(&self, sample: ServeBatchSample) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        serve.batches += 1;
-        *serve.batch_size_hist.entry(sample.batch_size).or_default() += 1;
-        serve.max_queue_depth = serve.max_queue_depth.max(sample.queue_depth);
-        serve.queued_us_sum += sample.queued_us;
-        serve.process_us_sum += sample.process_us;
-    }
-
-    fn record_serve_request(&self, sample: ServeRequestSample) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        serve.requests += 1;
-        if !sample.ok {
-            serve.request_errors += 1;
-        }
-        serve.latency_us_sum += sample.latency_us;
-        serve.latency_us_max = serve.latency_us_max.max(sample.latency_us);
-    }
-
-    fn record_serve_reload(&self, sample: ServeReloadSample) {
-        self.lock().serve.reloads.push(sample);
-    }
-
-    fn record_serve_shed(&self, kind: ServeShedKind) {
-        let mut s = self.lock();
-        let serve = &mut s.serve;
-        match kind {
-            ServeShedKind::Overloaded => serve.shed_overloaded += 1,
-            ServeShedKind::DeadlineExceeded => serve.shed_deadline += 1,
-            ServeShedKind::ShuttingDown => serve.shed_draining += 1,
-            ServeShedKind::RefusedConnection => serve.refused_connections += 1,
-        }
-    }
-
-    fn record_serve_reload_backoff(&self, sample: ServeReloadBackoffSample) {
-        self.lock().serve.reload_backoffs.push(sample);
-    }
 }
 
 /// Immutable snapshot of one training run's telemetry.
@@ -750,11 +509,6 @@ pub struct TelemetryReport {
     /// Fault-tolerance events (retries, failovers, straggler detections,
     /// solver checkpoints), in recording order.
     pub recovery: Vec<RecoverySample>,
-    /// Aggregated serving-layer telemetry (`svm-serve`): batch-size
-    /// histogram, queue/latency counters and the hot-reload audit trail.
-    /// Empty unless a server recorded into this sink. Timing-dependent,
-    /// so excluded from [`TelemetryReport::deterministic_summary`].
-    pub serve: ServeStats,
 }
 
 impl TelemetryReport {
@@ -861,22 +615,6 @@ impl TelemetryReport {
                 s.detail
             );
         }
-        // overload-control counters are event counts, not timings: under a
-        // manual clock (or any fixed request schedule) they are exactly
-        // reproducible, so they belong to the deterministic subset —
-        // unlike the latency/queue timing stats, which stay JSON-only
-        if self.serve.overloaded() {
-            let _ = writeln!(
-                out,
-                "serve_overload shed={} deadline_exceeded={} rejected_draining={} \
-                 refused_connections={} reload_backoffs={}",
-                self.serve.shed_overloaded,
-                self.serve.shed_deadline,
-                self.serve.shed_draining,
-                self.serve.refused_connections,
-                self.serve.reload_backoffs.len()
-            );
-        }
         out
     }
 
@@ -908,22 +646,6 @@ impl TelemetryReport {
     ///   `restart|precondition|precision_escalation|numeric_fault|`
     ///   `solver_fallback","device":n|null,"at_launch":n|null,`
     ///   `"iteration":n|null,"detail":"..."}`
-    /// * `{"type":"serve_batches","count":n,"max_queue_depth":n,`
-    ///   `"queued_us_sum":n,"process_us_sum":n,"mean_batch_size":x}` —
-    ///   present when a server recorded batches into this sink
-    /// * `{"type":"serve_batch_size","size":n,"count":n}` — one line per
-    ///   batch-size histogram bucket
-    /// * `{"type":"serve_requests","count":n,"errors":n,`
-    ///   `"latency_us_sum":n,"latency_us_max":n,"mean_latency_us":x}` —
-    ///   present when a server completed requests against this sink
-    /// * `{"type":"serve_reload","generation":n,"accepted":true|false,`
-    ///   `"detail":"..."}` — one line per hot-reload attempt
-    /// * `{"type":"serve_overload","shed":n,"deadline_exceeded":n,`
-    ///   `"rejected_draining":n,"refused_connections":n}` — present when
-    ///   the server's admission/deadline/drain layer shed any work
-    /// * `{"type":"serve_reload_backoff","consecutive_failures":n,`
-    ///   `"backoff_us":n}` — one line per reload circuit-breaker
-    ///   engagement
     ///
     /// Non-finite floats serialize as `null`; all other values are plain
     /// JSON numbers or strings.
@@ -1025,64 +747,6 @@ impl TelemetryReport {
                 opt(s.at_launch),
                 opt(s.iteration.map(|i| i as u64)),
                 json_str(&s.detail)
-            );
-        }
-        if self.serve.batches > 0 {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"serve_batches\",\"count\":{},\"max_queue_depth\":{},\
-                 \"queued_us_sum\":{},\"process_us_sum\":{},\"mean_batch_size\":{}}}",
-                self.serve.batches,
-                self.serve.max_queue_depth,
-                self.serve.queued_us_sum,
-                self.serve.process_us_sum,
-                json_f64(self.serve.mean_batch_size())
-            );
-            for (size, count) in &self.serve.batch_size_hist {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"serve_batch_size\",\"size\":{size},\"count\":{count}}}"
-                );
-            }
-        }
-        if self.serve.requests > 0 {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"serve_requests\",\"count\":{},\"errors\":{},\
-                 \"latency_us_sum\":{},\"latency_us_max\":{},\"mean_latency_us\":{}}}",
-                self.serve.requests,
-                self.serve.request_errors,
-                self.serve.latency_us_sum,
-                self.serve.latency_us_max,
-                json_f64(self.serve.mean_latency_us())
-            );
-        }
-        for r in &self.serve.reloads {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"serve_reload\",\"generation\":{},\"accepted\":{},\"detail\":{}}}",
-                r.generation,
-                r.accepted,
-                json_str(&r.detail)
-            );
-        }
-        if self.serve.overloaded() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"serve_overload\",\"shed\":{},\"deadline_exceeded\":{},\
-                 \"rejected_draining\":{},\"refused_connections\":{}}}",
-                self.serve.shed_overloaded,
-                self.serve.shed_deadline,
-                self.serve.shed_draining,
-                self.serve.refused_connections
-            );
-        }
-        for b in &self.serve.reload_backoffs {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"serve_reload_backoff\",\"consecutive_failures\":{},\
-                 \"backoff_us\":{}}}",
-                b.consecutive_failures, b.backoff_us
             );
         }
         out
@@ -1355,114 +1019,6 @@ mod tests {
         let empty = Telemetry::new().report();
         assert_eq!(r.deterministic_summary(), empty.deterministic_summary());
         assert!(!empty.to_json_lines().contains("simd_dispatch"));
-    }
-
-    #[test]
-    fn serve_stats_aggregate_boundedly_and_serialize() {
-        let t = Telemetry::new();
-        t.record_serve_batch(ServeBatchSample {
-            batch_size: 3,
-            queue_depth: 5,
-            queued_us: 100,
-            process_us: 40,
-        });
-        t.record_serve_batch(ServeBatchSample {
-            batch_size: 3,
-            queue_depth: 1,
-            queued_us: 50,
-            process_us: 60,
-        });
-        t.record_serve_batch(ServeBatchSample {
-            batch_size: 1,
-            queue_depth: 0,
-            queued_us: 0,
-            process_us: 10,
-        });
-        t.record_serve_request(ServeRequestSample {
-            latency_us: 200,
-            ok: true,
-        });
-        t.record_serve_request(ServeRequestSample {
-            latency_us: 400,
-            ok: false,
-        });
-        t.record_serve_reload(ServeReloadSample {
-            generation: 2,
-            accepted: true,
-            detail: "binary model, 8 features".into(),
-        });
-        t.record_serve_reload(ServeReloadSample {
-            generation: 2,
-            accepted: false,
-            detail: "torn file".into(),
-        });
-        let r = t.report();
-        assert_eq!(r.serve.batches, 3);
-        assert_eq!(r.serve.batch_size_hist[&3], 2);
-        assert_eq!(r.serve.batch_size_hist[&1], 1);
-        assert_eq!(r.serve.max_queue_depth, 5);
-        assert_eq!(r.serve.requests, 2);
-        assert_eq!(r.serve.request_errors, 1);
-        assert_eq!(r.serve.latency_us_max, 400);
-        assert!((r.serve.mean_batch_size() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(r.serve.mean_latency_us(), 300.0);
-        let json = r.to_json_lines();
-        assert!(json.contains("\"type\":\"serve_batches\",\"count\":3"));
-        assert!(json.contains("{\"type\":\"serve_batch_size\",\"size\":3,\"count\":2}"));
-        assert!(json.contains("\"type\":\"serve_requests\",\"count\":2,\"errors\":1"));
-        assert!(json.contains("\"type\":\"serve_reload\",\"generation\":2,\"accepted\":false"));
-        // serve telemetry is timing-dependent: the deterministic subset
-        // must not change when a server records into the sink
-        let empty = Telemetry::new().report();
-        assert_eq!(r.deterministic_summary(), empty.deterministic_summary());
-        // sinks never touched by a server emit no serve lines
-        assert!(!empty.to_json_lines().contains("serve_"));
-        assert!(empty.serve.is_empty() && !r.serve.is_empty());
-    }
-
-    #[test]
-    fn serve_overload_counters_reach_deterministic_summary_and_json() {
-        let t = Telemetry::new();
-        t.record_serve_shed(ServeShedKind::Overloaded);
-        t.record_serve_shed(ServeShedKind::Overloaded);
-        t.record_serve_shed(ServeShedKind::DeadlineExceeded);
-        t.record_serve_shed(ServeShedKind::ShuttingDown);
-        t.record_serve_shed(ServeShedKind::RefusedConnection);
-        t.record_serve_reload_backoff(ServeReloadBackoffSample {
-            consecutive_failures: 3,
-            backoff_us: 1_000_000,
-        });
-        let r = t.report();
-        assert_eq!(r.serve.shed_overloaded, 2);
-        assert_eq!(r.serve.shed_deadline, 1);
-        assert_eq!(r.serve.shed_draining, 1);
-        assert_eq!(r.serve.refused_connections, 1);
-        assert_eq!(r.serve.reload_backoffs.len(), 1);
-        assert!(r.serve.overloaded() && !r.serve.is_empty());
-        // unlike the timing-dependent serve stats, shed COUNTS are exact
-        // under a fixed request schedule, so they pin into the
-        // deterministic summary — and only when something was shed
-        let summary = r.deterministic_summary();
-        assert!(
-            summary.contains(
-                "serve_overload shed=2 deadline_exceeded=1 rejected_draining=1 \
-                 refused_connections=1 reload_backoffs=1"
-            ),
-            "{summary}"
-        );
-        let json = r.to_json_lines();
-        assert!(json.contains(
-            "{\"type\":\"serve_overload\",\"shed\":2,\"deadline_exceeded\":1,\
-             \"rejected_draining\":1,\"refused_connections\":1}"
-        ));
-        assert!(json.contains(
-            "{\"type\":\"serve_reload_backoff\",\"consecutive_failures\":3,\
-             \"backoff_us\":1000000}"
-        ));
-        // an overload-free run keeps both serializations untouched
-        let clean = Telemetry::new().report();
-        assert!(!clean.deterministic_summary().contains("serve_overload"));
-        assert!(!clean.to_json_lines().contains("serve_overload"));
     }
 
     #[test]

@@ -44,12 +44,11 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use plssvm_core::trace::{MetricsSink, ServeBatchSample, ServeShedKind};
-
 use crate::clock::Clock;
+use crate::stats::{ServeShedKind, ServeStats};
 
 /// Batching and admission knobs for a [`Batcher`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,7 +231,7 @@ impl<S> Ticket<S> {
     /// dropped without an answer (processor panic or shutdown race) —
     /// callers turn that into a structured internal error, never a hang.
     pub fn wait(&self) -> Option<S> {
-        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = lock(&self.state.slot);
         loop {
             match std::mem::replace(&mut *slot, TicketSlot::Pending) {
                 TicketSlot::Done(v) => return Some(v),
@@ -250,20 +249,17 @@ impl<S> Ticket<S> {
     /// Non-blocking probe: `true` while neither filled nor closed (lets
     /// deterministic tests assert "no flush has happened yet").
     pub fn is_pending(&self) -> bool {
-        matches!(
-            *self.state.slot.lock().unwrap_or_else(|e| e.into_inner()),
-            TicketSlot::Pending
-        )
+        matches!(*lock(&self.state.slot), TicketSlot::Pending)
     }
 
     fn fill(&self, v: S) {
-        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = lock(&self.state.slot);
         *slot = TicketSlot::Done(v);
         self.state.cv.notify_all();
     }
 
     fn close(&self) {
-        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = lock(&self.state.slot);
         if matches!(*slot, TicketSlot::Pending) {
             *slot = TicketSlot::Closed;
         }
@@ -285,7 +281,9 @@ struct BatcherShared<R, S> {
     /// Maps an expired request to its `deadline_exceeded` response;
     /// absent (deadline off), expired tickets would be closed instead.
     expire: Option<Box<Expire<R, S>>>,
-    metrics: Option<Arc<dyn MetricsSink>>,
+    /// What the worker, and through [`Batcher::record`] its owner,
+    /// recorded; one lock per event.
+    stats: Mutex<ServeStats>,
     shutdown: AtomicBool,
 }
 
@@ -305,7 +303,6 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
     pub fn new(
         max_batch: usize,
         clock: Arc<dyn Clock>,
-        metrics: Option<Arc<dyn MetricsSink>>,
         process: impl Fn(Vec<R>) -> Vec<S> + Send + Sync + 'static,
     ) -> Self {
         let config = BatcherConfig {
@@ -313,7 +310,7 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
             queue_watermark: 0,
             deadline_us: 0,
         };
-        Self::with_config(config, clock, metrics, None, process)
+        Self::with_config(config, clock, None, process)
     }
 
     /// Like [`Batcher::new`], but with the full admission policy: a
@@ -324,7 +321,6 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
     pub fn with_config(
         config: BatcherConfig,
         clock: Arc<dyn Clock>,
-        metrics: Option<Arc<dyn MetricsSink>>,
         expire: Option<Box<Expire<R, S>>>,
         process: impl Fn(Vec<R>) -> Vec<S> + Send + Sync + 'static,
     ) -> Self {
@@ -340,7 +336,7 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
             clock,
             process: Box::new(process),
             expire,
-            metrics,
+            stats: Mutex::default(),
             shutdown: AtomicBool::new(false),
         });
         let worker_shared = Arc::clone(&shared);
@@ -378,7 +374,7 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
         }
         let ticket = Ticket::new();
         let depth = {
-            let mut queue = self.lock_queue();
+            let mut queue = lock(&self.shared.queue);
             let depth = queue.len();
             if self.shared.watermark > 0 && depth >= self.shared.watermark {
                 return Err(Shed::Overloaded { depth });
@@ -391,7 +387,9 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
         }
         Ok(ticket)
     }
+}
 
+impl<R, S> Batcher<R, S> {
     /// Wakes the worker so it takes whatever is queued (the other half of
     /// a deferred [`Batcher::try_submit`]).
     pub fn wake(&self) {
@@ -400,7 +398,7 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
 
     /// Requests currently queued (not yet taken into a batch).
     pub fn queue_depth(&self) -> usize {
-        self.lock_queue().len()
+        lock(&self.shared.queue).len()
     }
 
     /// Stops accepting new requests, drains everything already queued
@@ -408,25 +406,26 @@ impl<R: Send + 'static, S: Send + 'static> Batcher<R, S> {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.clock.wake();
-        let handle = self.worker.lock().unwrap_or_else(|e| e.into_inner()).take();
+        let handle = lock(&self.worker).take();
         if let Some(handle) = handle {
             let _ = handle.join();
         }
     }
 
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, BatchQueue<(R, Ticket<S>)>> {
-        self.shared.queue.lock().unwrap_or_else(|e| e.into_inner())
+    /// Records into the batcher's [`ServeStats`] under its one lock.
+    pub(crate) fn record(&self, f: impl FnOnce(&mut ServeStats)) {
+        record(&self.shared.stats, f);
+    }
+
+    /// A snapshot of the recorded [`ServeStats`].
+    pub(crate) fn stats(&self) -> ServeStats {
+        lock(&self.shared.stats).clone()
     }
 }
 
 impl<R, S> Drop for Batcher<R, S> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.clock.wake();
-        let handle = self.worker.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -437,16 +436,12 @@ fn worker_loop<R, S>(shared: &BatcherShared<R, S>) {
         // the take bumps it, so the wait below returns immediately
         let seen = shared.clock.wake_count();
         let now = shared.clock.now_us();
-        let flush = shared
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take(now);
+        let flush = lock(&shared.queue).take(now);
         match flush {
             Some(flush) => run_batch(shared, flush),
             // the shutdown drain is the ordinary take: stop once empty
             None if shutting_down => return,
-            None => shared.clock.wait_until(seen, None),
+            None => shared.clock.wait(seen),
         }
     }
 }
@@ -465,9 +460,9 @@ fn run_batch<R, S>(shared: &BatcherShared<R, S>, flush: Flush<(R, Ticket<S>)>) {
             // structured internal error) rather than hang the submitter
             None => ticket.close(),
         }
-        if let Some(metrics) = &shared.metrics {
-            metrics.record_serve_shed(ServeShedKind::DeadlineExceeded);
-        }
+        record(&shared.stats, |s| {
+            s.record_shed(ServeShedKind::DeadlineExceeded)
+        });
     }
     if items.is_empty() {
         // every queued request had expired — no batch ran, so no batch
@@ -498,14 +493,19 @@ fn run_batch<R, S>(shared: &BatcherShared<R, S>, flush: Flush<(R, Ticket<S>)>) {
             }
         }
     }
-    if let Some(metrics) = &shared.metrics {
-        metrics.record_serve_batch(ServeBatchSample {
-            batch_size,
-            queue_depth: remaining,
-            queued_us: oldest_wait_us,
-            process_us,
-        });
-    }
+    record(&shared.stats, |s| {
+        s.record_batch(batch_size, remaining, oldest_wait_us, process_us)
+    });
+}
+
+fn record(stats: &Mutex<ServeStats>, f: impl FnOnce(&mut ServeStats)) {
+    f(&mut lock(stats));
+}
+
+/// Locks `m`, recovering the data of a poisoned lock: a panicking
+/// processor must not wedge the queue, the tickets or the stats.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

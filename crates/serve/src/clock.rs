@@ -9,14 +9,14 @@
 //! The lost-wakeup race is closed by a *wake generation counter*: a waiter
 //! samples [`Clock::wake_count`] **before** inspecting the state it is
 //! about to wait on, then passes the sampled value to
-//! [`Clock::wait_until`]. Any [`Clock::wake`] that lands between the
+//! [`Clock::wait`]. Any [`Clock::wake`] that lands between the
 //! sample and the wait bumps the counter, so the wait returns immediately
 //! instead of sleeping through the notification.
 
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// A monotonic microsecond clock plus a wakeable, deadline-aware wait.
+/// A monotonic microsecond clock plus a wakeable wait.
 pub trait Clock: Send + Sync {
     /// Microseconds since the clock's origin.
     fn now_us(&self) -> u64;
@@ -28,10 +28,9 @@ pub trait Clock: Send + Sync {
     /// or shutdown was requested).
     fn wake(&self);
 
-    /// Blocks until the wake counter moves past `seen` or — when
-    /// `deadline_us` is given — the clock reaches the deadline. Spurious
-    /// returns are allowed; callers re-inspect their state in a loop.
-    fn wait_until(&self, seen: u64, deadline_us: Option<u64>);
+    /// Blocks until the wake counter moves past `seen`. Spurious returns
+    /// are allowed; callers re-inspect their state in a loop.
+    fn wait(&self, seen: u64);
 }
 
 /// The production clock: wall time from [`Instant`], waits on a condvar.
@@ -77,28 +76,10 @@ impl Clock for SystemClock {
         self.cv.notify_all();
     }
 
-    fn wait_until(&self, seen: u64, deadline_us: Option<u64>) {
+    fn wait(&self, seen: u64) {
         let mut wakes = self.lock();
-        loop {
-            if *wakes != seen {
-                return;
-            }
-            match deadline_us {
-                Some(deadline) => {
-                    let now = self.now_us();
-                    if now >= deadline {
-                        return;
-                    }
-                    let (next, _) = self
-                        .cv
-                        .wait_timeout(wakes, Duration::from_micros(deadline - now))
-                        .unwrap_or_else(|e| e.into_inner());
-                    wakes = next;
-                }
-                None => {
-                    wakes = self.cv.wait(wakes).unwrap_or_else(|e| e.into_inner());
-                }
-            }
+        while *wakes == seen {
+            wakes = self.cv.wait(wakes).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -117,7 +98,7 @@ struct ManualState {
 #[derive(Debug, Default)]
 pub struct ManualClock {
     state: Mutex<ManualState>,
-    /// Wakes threads blocked in [`Clock::wait_until`].
+    /// Wakes threads blocked in [`Clock::wait`].
     waiters: Condvar,
     /// Wakes tests blocked in [`ManualClock::wait_for_parked`].
     observers: Condvar,
@@ -133,18 +114,14 @@ impl ManualClock {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Moves time forward and re-evaluates every waiter's deadline.
+    /// Moves time forward. Waiters stay parked: only [`Clock::wake`]
+    /// releases them.
     pub fn advance(&self, us: u64) {
-        let mut s = self.lock();
-        s.now_us += us;
-        self.waiters.notify_all();
-        // a waiter whose deadline just passed will unpark; observers may
-        // be watching for the park count to settle afterwards
-        self.observers.notify_all();
+        self.lock().now_us += us;
     }
 
     /// Blocks (in real time) until at least `n` threads are parked inside
-    /// [`Clock::wait_until`] — the rendezvous deterministic tests use
+    /// [`Clock::wait`] — the rendezvous deterministic tests use
     /// before advancing time or asserting "nothing happened yet".
     pub fn wait_for_parked(&self, n: usize) {
         let mut s = self.lock();
@@ -169,17 +146,9 @@ impl Clock for ManualClock {
         self.waiters.notify_all();
     }
 
-    fn wait_until(&self, seen: u64, deadline_us: Option<u64>) {
+    fn wait(&self, seen: u64) {
         let mut s = self.lock();
-        loop {
-            if s.wakes != seen {
-                return;
-            }
-            if let Some(deadline) = deadline_us {
-                if s.now_us >= deadline {
-                    return;
-                }
-            }
+        while s.wakes == seen {
             s.parked += 1;
             self.observers.notify_all();
             s = self.waiters.wait(s).unwrap_or_else(|e| e.into_inner());
@@ -210,33 +179,7 @@ mod tests {
         let c = ManualClock::new();
         let seen = c.wake_count();
         c.wake();
-        c.wait_until(seen, None); // would hang forever on a lost wakeup
-    }
-
-    #[test]
-    fn wait_returns_immediately_past_deadline() {
-        let c = ManualClock::new();
-        c.advance(100);
-        let seen = c.wake_count();
-        c.wait_until(seen, Some(100)); // now == deadline → no block
-        c.wait_until(seen, Some(50)); // now past deadline → no block
-    }
-
-    #[test]
-    fn advance_releases_deadline_waiters() {
-        let c = Arc::new(ManualClock::new());
-        let c2 = Arc::clone(&c);
-        let t = std::thread::spawn(move || {
-            let seen = c2.wake_count();
-            c2.wait_until(seen, Some(1_000));
-            c2.now_us()
-        });
-        c.wait_for_parked(1);
-        c.advance(999);
-        // deadline not reached: the waiter re-parks
-        c.wait_for_parked(1);
-        c.advance(1);
-        assert_eq!(t.join().unwrap(), 1_000);
+        c.wait(seen); // would hang forever on a lost wakeup
     }
 
     #[test]
@@ -245,7 +188,7 @@ mod tests {
         let c2 = Arc::clone(&c);
         let t = std::thread::spawn(move || {
             let seen = c2.wake_count();
-            c2.wait_until(seen, None);
+            c2.wait(seen);
         });
         c.wait_for_parked(1);
         c.wake();
@@ -257,11 +200,8 @@ mod tests {
         let c = Arc::new(SystemClock::new());
         let c2 = Arc::clone(&c);
         let seen = c.wake_count();
-        let t = std::thread::spawn(move || c2.wait_until(seen, None));
+        let t = std::thread::spawn(move || c2.wait(seen));
         c.wake();
         t.join().unwrap();
-        // deadline path terminates on its own
-        let seen = c.wake_count();
-        c.wait_until(seen, Some(c.now_us() + 100));
     }
 }

@@ -1,13 +1,13 @@
 //! The serving engine: wire lines in, response lines out.
 //!
-//! [`Engine`] owns the model slot, the micro-batcher and the telemetry
-//! hooks. Requests flow `handle_line` → (micro-batch queue) → the
-//! panelized prediction path → `resolve`. The batcher is work-conserving:
-//! a request reaching an idle engine is predicted at once, and requests
-//! that arrive while a batch runs form the next batch. A connection
-//! reader with more lines buffered defers the wake and calls
-//! [`Engine::wake`] before it could block, so a pipelined burst wakes the
-//! engine once.
+//! [`Engine`] owns the model slot, the micro-batcher and the serving
+//! telemetry ([`ServeStats`]). Requests flow `handle_line` →
+//! (micro-batch queue) → the panelized prediction path → `resolve`. The
+//! batcher is work-conserving: a request reaching an idle engine is
+//! predicted at once, and requests that arrive while a batch runs form
+//! the next batch. A connection reader with more lines buffered defers
+//! the wake and calls [`Engine::wake`] before it could block, so a
+//! pipelined burst wakes the engine once.
 //!
 //! The model lives behind a generation-counted `Arc` swap:
 //! [`Engine::install`] replaces the slot only after the new model fully
@@ -23,7 +23,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use plssvm_core::trace::{MetricsSink, ServeRequestSample, ServeShedKind};
 use plssvm_data::dense::DenseMatrix;
 
 use crate::batcher::{Batcher, BatcherConfig, Shed, Ticket};
@@ -33,30 +32,11 @@ use crate::protocol::{
     format_response, parse_line, ParsedLine, Query, QueryFormat, ERR_DEADLINE, ERR_OVERLOADED,
     ERR_SHUTTING_DOWN,
 };
+use crate::stats::{ServeShedKind, ServeStats};
 
-/// Micro-batching and admission knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineConfig {
-    /// Largest batch the engine predicts in one call.
-    pub max_batch: usize,
-    /// Shed requests with `overloaded` once this many are already
-    /// queued; `0` disables shedding (unbounded queue, PR 7 behavior).
-    pub queue_watermark: usize,
-    /// Answer `deadline_exceeded` to any request that queued strictly
-    /// longer than this (µs) without spending a batch slot on it; `0`
-    /// disables deadlines.
-    pub deadline_us: u64,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 64,
-            queue_watermark: 1_024,
-            deadline_us: 0,
-        }
-    }
-}
+/// Micro-batching and admission knobs: the engine's are exactly its
+/// batcher's.
+pub type EngineConfig = BatcherConfig;
 
 /// A model generation: the loaded model plus its install counter.
 #[derive(Debug)]
@@ -111,29 +91,17 @@ pub struct Engine {
     batcher: Batcher<Job, Outcome>,
     slot: Arc<Mutex<Arc<Generation>>>,
     clock: Arc<dyn Clock>,
-    metrics: Option<Arc<dyn MetricsSink>>,
     draining: AtomicBool,
 }
 
 impl Engine {
     /// Builds an engine serving `model` with the given batching knobs.
-    pub fn new(
-        model: ServeModel,
-        config: EngineConfig,
-        clock: Arc<dyn Clock>,
-        metrics: Option<Arc<dyn MetricsSink>>,
-    ) -> Self {
+    pub fn new(model: ServeModel, config: EngineConfig, clock: Arc<dyn Clock>) -> Self {
         let slot = Arc::new(Mutex::new(Arc::new(Generation { id: 1, model })));
         let process_slot = Arc::clone(&slot);
-        let batcher_config = BatcherConfig {
-            max_batch: config.max_batch,
-            queue_watermark: config.queue_watermark,
-            deadline_us: config.deadline_us,
-        };
         let batcher = Batcher::with_config(
-            batcher_config,
+            config,
             Arc::clone(&clock),
-            metrics.clone(),
             Some(Box::new(|_job: Job| Err(ERR_DEADLINE.to_string()))),
             move |jobs: Vec<Job>| {
                 // snapshot the generation ONCE per batch: every request in
@@ -146,7 +114,6 @@ impl Engine {
             batcher,
             slot,
             clock,
-            metrics,
             draining: AtomicBool::new(false),
         }
     }
@@ -199,9 +166,7 @@ impl Engine {
     }
 
     fn shed(&self, format: QueryFormat, id: Option<String>, kind: ServeShedKind) -> Pending {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_serve_shed(kind);
-        }
+        self.record(|s| s.record_shed(kind));
         Pending::Shed { format, id, kind }
     }
 
@@ -282,10 +247,14 @@ impl Engine {
         &self.clock
     }
 
-    /// The engine's metrics sink, if any (the reload watcher records its
-    /// accept/reject audit trail through it).
-    pub fn metrics(&self) -> Option<&Arc<dyn MetricsSink>> {
-        self.metrics.as_ref()
+    /// A snapshot of the serving telemetry recorded so far.
+    pub fn stats(&self) -> ServeStats {
+        self.batcher.stats()
+    }
+
+    /// Records one event into the engine's [`ServeStats`] (one lock).
+    pub(crate) fn record(&self, f: impl FnOnce(&mut ServeStats)) {
+        self.batcher.record(f);
     }
 
     /// Requests currently waiting in the micro-batch queue.
@@ -312,9 +281,7 @@ impl Engine {
     }
 
     fn record_request(&self, latency_us: u64, ok: bool) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record_serve_request(ServeRequestSample { latency_us, ok });
-        }
+        self.record(|s| s.record_request(latency_us, ok));
     }
 }
 
@@ -381,7 +348,6 @@ mod tests {
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),
-            None,
         )
     }
 

@@ -15,7 +15,8 @@
 //!
 //! Everything timing-dependent is built against the injectable
 //! [`clock::Clock`] so queueing deadlines and reload behavior are
-//! deterministically testable without sleeps.
+//! deterministically testable without sleeps. The crate owns its
+//! telemetry: [`stats::ServeStats`], snapshotted by [`Engine::stats`].
 
 #![warn(missing_docs)]
 
@@ -27,6 +28,7 @@ pub mod model;
 pub mod net;
 pub mod protocol;
 pub mod reload;
+pub mod stats;
 
 pub use admission::{ConnGuard, ServerControl};
 pub use batcher::{BatchQueue, Batcher, BatcherConfig, Flush, Shed, Ticket};
@@ -46,3 +48,4 @@ pub use reload::{
     attempt_reload, attempt_reload_with, spawn_watcher, spawn_watcher_with_breaker, BreakerConfig,
     ManualTrigger, PollTrigger, ReloadAttempt, ReloadBreaker, ReloadTrigger,
 };
+pub use stats::{ServeReloadBackoffSample, ServeReloadSample, ServeShedKind, ServeStats};

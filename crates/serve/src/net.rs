@@ -35,11 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender, TrySendError};
 use std::time::{Duration, Instant};
 
-use plssvm_core::trace::ServeShedKind;
-
 use crate::admission::ServerControl;
 use crate::engine::{Engine, Pending};
 use crate::protocol::{parse_control, Control, DRAIN_ACK};
+use crate::stats::ServeShedKind;
 
 /// How many submitted-but-unresolved requests one connection may have in
 /// flight before its reader blocks (bounds memory per connection).
@@ -440,9 +439,7 @@ fn refuse_connection(engine: &Engine, control: &ServerControl, mut stream: TcpSt
     };
     let _ = stream.write_all(line.as_bytes());
     let _ = stream.write_all(b"\n");
-    if let Some(metrics) = engine.metrics() {
-        metrics.record_serve_shed(ServeShedKind::RefusedConnection);
-    }
+    engine.record(|s| s.record_shed(ServeShedKind::RefusedConnection));
 }
 
 #[cfg(test)]
@@ -465,7 +462,6 @@ mod tests {
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),
-            None,
         )
     }
 
@@ -707,7 +703,6 @@ mod tests {
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),
-            None,
         ));
         const { assert!(4096 > PIPELINE_DEPTH) };
         let e2 = Arc::clone(&e);

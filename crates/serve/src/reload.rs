@@ -27,10 +27,9 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
-use plssvm_core::trace::{ServeReloadBackoffSample, ServeReloadSample};
-
 use crate::engine::Engine;
 use crate::model::ServeModel;
+use crate::stats::{ServeReloadBackoffSample, ServeReloadSample};
 
 /// Blocks until the watched model may have changed.
 pub trait ReloadTrigger: Send {
@@ -152,13 +151,13 @@ pub fn attempt_reload_with(
 }
 
 fn record(engine: &Engine, generation: u64, accepted: bool, detail: String) {
-    if let Some(metrics) = engine.metrics() {
-        metrics.record_serve_reload(ServeReloadSample {
+    engine.record(|s| {
+        s.record_reload(ServeReloadSample {
             generation,
             accepted,
             detail,
-        });
-    }
+        })
+    });
 }
 
 /// Circuit-breaker knobs for reload failure storms.
@@ -263,12 +262,12 @@ impl ReloadBreaker {
                         .saturating_mul(1u64 << doublings)
                         .min(self.config.max_backoff_us);
                     self.blocked_until_us = now.saturating_add(backoff_us);
-                    if let Some(metrics) = engine.metrics() {
-                        metrics.record_serve_reload_backoff(ServeReloadBackoffSample {
+                    engine.record(|s| {
+                        s.record_reload_backoff(ServeReloadBackoffSample {
                             consecutive_failures: self.consecutive_failures,
                             backoff_us,
-                        });
-                    }
+                        })
+                    });
                 }
                 ReloadAttempt::Rejected(e)
             }
@@ -330,7 +329,6 @@ mod tests {
                 ..EngineConfig::default()
             },
             Arc::new(SystemClock::new()),
-            None,
         )
     }
 

@@ -21,7 +21,7 @@ type BatchLog = Arc<Mutex<Vec<Vec<u64>>>>;
 fn echo_batcher(config: BatcherConfig, clock: Arc<ManualClock>) -> (Batcher<u64, u64>, BatchLog) {
     let batches: BatchLog = Arc::new(Mutex::new(Vec::new()));
     let seen = Arc::clone(&batches);
-    let batcher = Batcher::with_config(config, clock, None, None, move |reqs: Vec<u64>| {
+    let batcher = Batcher::with_config(config, clock, None, move |reqs: Vec<u64>| {
         seen.lock().unwrap().push(reqs.clone());
         reqs
     });
@@ -63,7 +63,6 @@ fn gated_batcher(
     let batcher = Batcher::with_config(
         config,
         clock,
-        None,
         Some(Box::new(|req: u64| req + EXPIRED)),
         move |reqs: Vec<u64>| {
             seen.lock().unwrap().push(reqs.clone());
@@ -271,7 +270,6 @@ fn processor_panic_closes_its_batch_and_worker_survives() {
     let batcher = Batcher::new(
         1,
         clock as Arc<dyn plssvm_serve::Clock>,
-        None,
         |reqs: Vec<u64>| {
             if reqs.contains(&13) {
                 panic!("poison request");
@@ -302,7 +300,7 @@ fn panic_inside_a_parallel_kernel_expansion_closes_its_batch() {
     // with too few coefficients: every share then panics on its own thread
     assert!((128 * 512 * FEATURES) as u128 >= PAR_GRAIN);
     let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
-    let batcher = Batcher::new(1, clock, None, move |reqs: Vec<u64>| {
+    let batcher = Batcher::new(1, clock, move |reqs: Vec<u64>| {
         let poisoned = reqs.contains(&13);
         let x = DenseMatrix::from_vec(128, FEATURES, vec![0.25; 128 * FEATURES]);
         let coef = if poisoned { &coef[..300] } else { &coef[..] };
@@ -333,7 +331,7 @@ fn panic_inside_a_parallel_kernel_expansion_closes_its_batch() {
 fn arity_mismatch_closes_unanswered_tickets() {
     let clock = Arc::new(ManualClock::new());
     // a buggy processor returning one response for a two-request batch
-    let batcher = Batcher::new(2, clock.clone(), None, |reqs: Vec<u64>| vec![reqs[0]]);
+    let batcher = Batcher::new(2, clock.clone(), |reqs: Vec<u64>| vec![reqs[0]]);
     clock.wait_for_parked(1);
     // deferred pushes reach the idle worker as one two-request batch
     let a = batcher.try_submit(10, true).unwrap();
@@ -365,7 +363,7 @@ fn concurrent_submitters_get_correctly_routed_responses() {
         let processed = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&processed);
         // identity-with-bookkeeping processor
-        let batcher = Arc::new(Batcher::new(8, clock, None, move |reqs: Vec<u64>| {
+        let batcher = Arc::new(Batcher::new(8, clock, move |reqs: Vec<u64>| {
             counter.fetch_add(reqs.len(), Ordering::SeqCst);
             reqs
         }));

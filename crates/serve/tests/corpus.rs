@@ -139,7 +139,6 @@ fn engine() -> Engine {
             ..EngineConfig::default()
         },
         Arc::new(SystemClock::new()),
-        None,
     )
 }
 

@@ -18,7 +18,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use plssvm_core::trace::Telemetry;
 use plssvm_serve::{
     serve_lines, serve_tcp, Clock, ConnectionOptions, Engine, EngineConfig, ManualClock, Pending,
     ServeModel, ServerControl, SystemClock, DRAIN_ACK, ERR_CLIENT_TIMEOUT_LINE,
@@ -70,22 +69,17 @@ impl Clock for GatedClock {
         self.manual.wake();
     }
 
-    fn wait_until(&self, seen: u64, deadline_us: Option<u64>) {
-        self.manual.wait_until(seen, deadline_us);
+    fn wait(&self, seen: u64) {
+        self.manual.wait(seen);
     }
 }
 
 /// An engine on a [`GatedClock`] whose worker starts held: every request
 /// submitted before `open` queues, and time moves only on `advance`.
-fn held_engine(config: EngineConfig, telemetry: &Arc<Telemetry>) -> (Engine, Arc<GatedClock>) {
+fn held_engine(config: EngineConfig) -> (Engine, Arc<GatedClock>) {
     let clock = Arc::new(GatedClock::default());
     clock.close();
-    let engine = Engine::new(
-        ServeModel::from_text(MODEL).unwrap(),
-        config,
-        clock.clone(),
-        Some(telemetry.clone() as _),
-    );
+    let engine = Engine::new(ServeModel::from_text(MODEL).unwrap(), config, clock.clone());
     (engine, clock)
 }
 
@@ -95,15 +89,11 @@ fn held_engine(config: EngineConfig, telemetry: &Arc<Telemetry>) -> (Engine, Arc
 
 #[test]
 fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
-    let telemetry = Telemetry::shared();
-    let (engine, clock) = held_engine(
-        EngineConfig {
-            max_batch: 100,
-            queue_watermark: 4,
-            deadline_us: 0,
-        },
-        &telemetry,
-    );
+    let (engine, clock) = held_engine(EngineConfig {
+        max_batch: 100,
+        queue_watermark: 4,
+        deadline_us: 0,
+    });
     // fill the queue to the watermark; nothing is taken (worker held)
     let queued: Vec<Pending> = (0..4)
         .map(|i| {
@@ -136,7 +126,7 @@ fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
         );
     }
     engine.shutdown();
-    let serve = telemetry.report().serve;
+    let serve = engine.stats();
     assert_eq!(serve.shed_overloaded, 1);
     assert_eq!(
         serve.requests, 4,
@@ -146,15 +136,11 @@ fn watermark_shed_answers_overloaded_and_queued_requests_still_complete() {
 
 #[test]
 fn expired_requests_answer_deadline_exceeded_without_spending_a_batch_slot() {
-    let telemetry = Telemetry::shared();
-    let (engine, clock) = held_engine(
-        EngineConfig {
-            max_batch: 2,
-            queue_watermark: 0,
-            deadline_us: 500,
-        },
-        &telemetry,
-    );
+    let (engine, clock) = held_engine(EngineConfig {
+        max_batch: 2,
+        queue_watermark: 0,
+        deadline_us: 500,
+    });
     // one request ages past its deadline before the worker is free
     let a = engine
         .handle_line(r#"{"id":"a","features":[3,1]}"#, false)
@@ -180,7 +166,7 @@ fn expired_requests_answer_deadline_exceeded_without_spending_a_batch_slot() {
         r#"{"id":"c","label":-1,"decision":-5.0}"#
     );
     engine.shutdown();
-    let serve = telemetry.report().serve;
+    let serve = engine.stats();
     assert_eq!(serve.shed_deadline, 1);
     assert_eq!(
         serve.batches, 1,
@@ -197,15 +183,11 @@ fn deadline_purge_never_delays_live_requests_behind_expired_ones() {
     // an expired request at the queue head must not drag fresh survivors
     // out with it: the expired prefix is answered and the live request
     // is served in the same take
-    let telemetry = Telemetry::shared();
-    let (engine, clock) = held_engine(
-        EngineConfig {
-            max_batch: 100,
-            queue_watermark: 0,
-            deadline_us: 1_000,
-        },
-        &telemetry,
-    );
+    let (engine, clock) = held_engine(EngineConfig {
+        max_batch: 100,
+        queue_watermark: 0,
+        deadline_us: 1_000,
+    });
     let old = engine
         .handle_line(r#"{"id":"old","features":[3,1]}"#, false)
         .unwrap();
@@ -237,20 +219,16 @@ fn deadline_purge_never_delays_live_requests_behind_expired_ones() {
         r#"{"id":"late","error":"deadline_exceeded"}"#
     );
     engine.shutdown();
-    assert_eq!(telemetry.report().serve.shed_deadline, 2);
+    assert_eq!(engine.stats().shed_deadline, 2);
 }
 
 #[test]
 fn draining_engine_finishes_inflight_and_sheds_new_work() {
-    let telemetry = Telemetry::shared();
-    let (engine, clock) = held_engine(
-        EngineConfig {
-            max_batch: 100,
-            queue_watermark: 0,
-            deadline_us: 0,
-        },
-        &telemetry,
-    );
+    let (engine, clock) = held_engine(EngineConfig {
+        max_batch: 100,
+        queue_watermark: 0,
+        deadline_us: 0,
+    });
     let inflight = engine
         .handle_line(r#"{"id":1,"features":[3,1]}"#, false)
         .unwrap();
@@ -267,7 +245,7 @@ fn draining_engine_finishes_inflight_and_sheds_new_work() {
         r#"{"id":1,"label":1,"decision":2.0}"#
     );
     engine.shutdown();
-    let serve = telemetry.report().serve;
+    let serve = engine.stats();
     assert_eq!(serve.shed_draining, 1);
     assert_eq!(serve.requests, 1);
 }
@@ -299,7 +277,6 @@ fn seeded_overload_stream_gets_exactly_one_reply_per_request() {
             deadline_us: 0,
         },
         Arc::new(SystemClock::new()),
-        None,
     );
     let mut rng = Lcg(0x5eed);
     let mut input = String::new();
@@ -352,7 +329,6 @@ fn seeded_overload_stream_gets_exactly_one_reply_per_request() {
 struct TcpHarness {
     engine: Arc<Engine>,
     control: Arc<ServerControl>,
-    telemetry: Arc<Telemetry>,
     stop: Arc<AtomicBool>,
     addr: std::net::SocketAddr,
     server: Option<std::thread::JoinHandle<std::io::Result<()>>>,
@@ -364,12 +340,10 @@ impl TcpHarness {
         max_connections: usize,
         client_timeout: Option<Duration>,
     ) -> Self {
-        let telemetry = Telemetry::shared();
         let engine = Arc::new(Engine::new(
             ServeModel::from_text(MODEL).unwrap(),
             config,
             Arc::new(SystemClock::new()),
-            Some(telemetry.clone() as _),
         ));
         let control = Arc::new(ServerControl::new(max_connections));
         let stop = Arc::new(AtomicBool::new(false));
@@ -393,7 +367,6 @@ impl TcpHarness {
         Self {
             engine,
             control,
-            telemetry,
             stop,
             addr,
             server: Some(server),
@@ -484,7 +457,7 @@ fn connections_past_the_cap_get_one_refusal_line_then_eof() {
         );
     };
     assert_eq!(roundtrip(&mut d, "1:0 2:5"), "-1");
-    assert!(h.telemetry.report().serve.refused_connections >= 1);
+    assert!(h.engine.stats().refused_connections >= 1);
     drop(b);
     drop(d);
     h.drain_and_join();
@@ -676,7 +649,7 @@ fn open_loop_load_far_above_capacity_answers_every_request_exactly_once() {
     );
     // the client-side tallies must agree exactly with the server's
     // counters: every line accounted once, nothing double-counted
-    let serve = h.telemetry.report().serve;
+    let serve = h.engine.stats();
     assert_eq!(
         ok + expired,
         serve.requests,

@@ -11,7 +11,6 @@ use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use plssvm_core::trace::Telemetry;
 use plssvm_data::write_atomic;
 use plssvm_serve::{
     attempt_reload, BreakerConfig, Engine, EngineConfig, ManualClock, ManualTrigger, ReloadAttempt,
@@ -46,7 +45,6 @@ fn engine_from(model: &str) -> Engine {
             ..EngineConfig::default()
         },
         Arc::new(SystemClock::new()),
-        None,
     )
 }
 
@@ -154,7 +152,6 @@ fn reload_failure_storm_engages_breaker_and_recovers() {
     let path = dir.join("model.txt");
     write_atomic(&path, MODEL_A.as_bytes()).unwrap();
 
-    let telemetry = Telemetry::shared();
     let clock = Arc::new(ManualClock::new());
     let engine = Engine::new(
         ServeModel::from_text(MODEL_A).unwrap(),
@@ -163,7 +160,6 @@ fn reload_failure_storm_engages_breaker_and_recovers() {
             ..EngineConfig::default()
         },
         clock.clone(),
-        Some(telemetry.clone() as _),
     );
     let probe = engine.respond_line("1 1:1").unwrap();
     assert_eq!(probe, "1");
@@ -188,7 +184,7 @@ fn reload_failure_storm_engages_breaker_and_recovers() {
             "old model must keep serving bit-identically"
         );
     }
-    assert!(telemetry.report().serve.reload_backoffs.is_empty());
+    assert!(engine.stats().reload_backoffs.is_empty());
 
     // the threshold-th failure opens the breaker: 1s window at t=0
     assert!(matches!(
@@ -256,7 +252,7 @@ fn reload_failure_storm_engages_breaker_and_recovers() {
     assert_eq!(breaker.consecutive_failures(), 1);
 
     // the backoff audit trail: exactly the three windows, doubling to the cap
-    let samples = telemetry.report().serve.reload_backoffs;
+    let samples = engine.stats().reload_backoffs;
     let trail: Vec<(u64, u64)> = samples
         .iter()
         .map(|s| (s.consecutive_failures, s.backoff_us))

@@ -8,7 +8,6 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use plssvm_core::trace::Telemetry;
 use plssvm_data::vfs::{FaultKind, FaultPlan, FaultVfs, OpClass};
 use plssvm_data::write_atomic;
 use plssvm_serve::{
@@ -31,7 +30,7 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn engine_on(clock: Arc<ManualClock>, telemetry: Arc<Telemetry>) -> Engine {
+fn engine_on(clock: Arc<ManualClock>) -> Engine {
     Engine::new(
         ServeModel::from_text(MODEL_A).unwrap(),
         EngineConfig {
@@ -39,7 +38,6 @@ fn engine_on(clock: Arc<ManualClock>, telemetry: Arc<Telemetry>) -> Engine {
             ..EngineConfig::default()
         },
         clock,
-        Some(telemetry),
     )
 }
 
@@ -52,8 +50,7 @@ fn torn_reads_never_install_and_the_old_model_keeps_serving() {
     let path = dir.join("model.txt");
     write_atomic(&path, MODEL_B.as_bytes()).unwrap();
 
-    let telemetry = Telemetry::shared();
-    let engine = engine_on(Arc::new(ManualClock::new()), Arc::clone(&telemetry));
+    let engine = engine_on(Arc::new(ManualClock::new()));
 
     for kind in [FaultKind::ShortRead, FaultKind::BitRot, FaultKind::Eio] {
         let vfs =
@@ -73,10 +70,10 @@ fn torn_reads_never_install_and_the_old_model_keeps_serving() {
     );
 
     // every rejection is in the audit trail, none accepted
-    let report = telemetry.report();
-    let rejected = report.serve.reloads.iter().filter(|r| !r.accepted).count();
-    assert_eq!(rejected, 3, "{:?}", report.serve.reloads);
-    assert!(report.serve.reloads.iter().all(|r| !r.accepted));
+    let stats = engine.stats();
+    let rejected = stats.reloads.iter().filter(|r| !r.accepted).count();
+    assert_eq!(rejected, 3, "{:?}", stats.reloads);
+    assert!(stats.reloads.iter().all(|r| !r.accepted));
 
     engine.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -94,8 +91,7 @@ fn read_fault_storm_opens_the_breaker_and_a_clean_read_resets_it() {
     write_atomic(&path, MODEL_B.as_bytes()).unwrap();
 
     let clock = Arc::new(ManualClock::new());
-    let telemetry = Telemetry::shared();
-    let engine = engine_on(Arc::clone(&clock), Arc::clone(&telemetry));
+    let engine = engine_on(Arc::clone(&clock));
 
     // exactly three transient read faults on the model path, then clean
     let plan = FaultPlan::new()
@@ -146,22 +142,16 @@ fn read_fault_storm_opens_the_breaker_and_a_clean_read_resets_it() {
         "the new generation must serve"
     );
 
-    let report = telemetry.report();
+    let stats = engine.stats();
+    assert_eq!(stats.reloads.iter().filter(|r| !r.accepted).count(), 3);
+    assert_eq!(stats.reloads.iter().filter(|r| r.accepted).count(), 1);
     assert_eq!(
-        report.serve.reloads.iter().filter(|r| !r.accepted).count(),
-        3
-    );
-    assert_eq!(
-        report.serve.reloads.iter().filter(|r| r.accepted).count(),
-        1
-    );
-    assert_eq!(
-        report.serve.reload_backoffs.len(),
+        stats.reload_backoffs.len(),
         1,
         "{:?}",
-        report.serve.reload_backoffs
+        stats.reload_backoffs
     );
-    assert_eq!(report.serve.reload_backoffs[0].consecutive_failures, 3);
+    assert_eq!(stats.reload_backoffs[0].consecutive_failures, 3);
     assert_eq!(vfs.total_injected(), 3);
 
     engine.shutdown();
@@ -178,8 +168,7 @@ fn seeded_read_chaos_never_installs_a_corrupt_model() {
     write_atomic(&path, MODEL_B.as_bytes()).unwrap();
 
     for seed in 0..16u64 {
-        let telemetry = Telemetry::shared();
-        let engine = engine_on(Arc::new(ManualClock::new()), Arc::clone(&telemetry));
+        let engine = engine_on(Arc::new(ManualClock::new()));
         let vfs = FaultVfs::new(FaultPlan::seeded(seed, 16));
         for _ in 0..8 {
             match attempt_reload_with(&engine, &vfs, &path) {
