@@ -2,9 +2,19 @@
 
 use std::process::ExitCode;
 
+/// Whether to print the usage text: no arguments, `--help`, or a `-h`
+/// that is not LIBSVM's shrinking flag (`-h 0` / `-h 1`).
+fn wants_help(args: &[String]) -> bool {
+    args.is_empty()
+        || args.iter().enumerate().any(|(i, a)| {
+            a == "--help"
+                || (a == "-h" && !matches!(args.get(i + 1).map(String::as_str), Some("0" | "1")))
+        })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "-h" || a == "--help") || args.is_empty() {
+    if wants_help(&args) {
         eprintln!(
             "usage: svm-train [options] training_set_file [model_file]\n\
              options:\n\

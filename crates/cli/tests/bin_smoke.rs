@@ -346,6 +346,51 @@ fn train_help_and_errors_exit_nonzero() {
 }
 
 #[test]
+fn smo_shrinking_flag_trains_instead_of_printing_help() {
+    let dir = tmpdir("smo_shrinking");
+    let data = dir.join("train.dat");
+    let model = dir.join("train.model");
+    let (ok, _, stderr) = run(
+        "generate-data",
+        &[
+            "--points",
+            "60",
+            "--features",
+            "4",
+            "--seed",
+            "3",
+            "-o",
+            data.to_str().unwrap(),
+        ],
+    );
+    assert!(ok, "{stderr}");
+    for shrinking in ["0", "1"] {
+        let _ = std::fs::remove_file(&model);
+        let (ok, _, stderr) = run(
+            "svm-train",
+            &[
+                "-a",
+                "smo",
+                "-h",
+                shrinking,
+                data.to_str().unwrap(),
+                model.to_str().unwrap(),
+            ],
+        );
+        assert!(ok, "-h {shrinking}: {stderr}");
+        assert!(!stderr.contains("usage"), "-h {shrinking}: {stderr}");
+        let written = std::fs::read_to_string(&model).unwrap();
+        assert!(written.contains("SV"), "{written}");
+    }
+    // a bare -h, or one not followed by 0|1, still asks for help
+    for args in [&["-h"][..], &["-h", data.to_str().unwrap()][..]] {
+        let (ok, _, stderr) = run("svm-train", args);
+        assert!(!ok);
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn lowrank_resume_is_a_usage_error_with_exit_code_2() {
     let dir = tmpdir("lowrank_resume");
     let data = dir.join("train.dat");

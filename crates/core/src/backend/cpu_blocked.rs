@@ -7,10 +7,14 @@
 //!
 //! 1. **Register micro-tiles.** [`crate::kernel::kernel_panel`] evaluates a
 //!    `PANEL_MR×PANEL_NR` block of kernel entries per call, accumulating
-//!    all pair inner products (or squared distances) in one pass over the
-//!    features. The accumulators are independent fused multiply–add chains
-//!    the compiler keeps in registers and auto-vectorizes — unlike the
-//!    single latency-bound chain of a row-at-a-time `dot`.
+//!    all pair inner products (or squared distances) as independent vector
+//!    fused multiply–add chains — unlike the single latency-bound chain of
+//!    a row-at-a-time `dot`. The x86 kernels hold every accumulator in a
+//!    register for the whole feature loop (AVX-512: the 4×4 panel in one
+//!    pass; AVX2: two 2×4 halves, to fit 16 registers) and reduce the
+//!    lanes with a transpose and in-order vector adds, which keeps each
+//!    pair's bits (see [`crate::simd`]). The mirror updates of a full panel
+//!    run on fixed-size local copies of `out`, so they vectorize too.
 //! 2. **Cache tiles.** Micro-tiles are grouped into
 //!    [`CpuTilingConfig::row_tile`]`×`[`CpuTilingConfig::col_tile`] blocks
 //!    so the `j`-panel rows and the touched `v`/`out` segments stay cache
@@ -217,19 +221,55 @@ fn symmetric_off_tile<T: Real>(
         while j < j1 {
             let jh = gather_rows(data, j, (j1 - j).min(PANEL_NR), &mut rb);
             let panel = kernel_panel(kernel, isa, &ra[..ih], &rb[..jh]);
-            for (a, prow) in panel.iter().enumerate().take(ih) {
-                let va = v[i + a];
-                let mut acc = out[i + a];
-                for (b, &k) in prow.iter().enumerate().take(jh) {
-                    acc = k.mul_add(v[j + b], acc);
-                    out[j + b] = k.mul_add(va, out[j + b]);
+            if ih == PANEL_MR && jh == PANEL_NR {
+                mirror_full_panel(&panel, (i, j), v, out);
+            } else {
+                for (a, prow) in panel.iter().enumerate().take(ih) {
+                    let va = v[i + a];
+                    let mut acc = out[i + a];
+                    for (b, &k) in prow.iter().enumerate().take(jh) {
+                        acc = k.mul_add(v[j + b], acc);
+                        out[j + b] = k.mul_add(va, out[j + b]);
+                    }
+                    out[i + a] = acc;
                 }
-                out[i + a] = acc;
             }
             j += jh;
         }
         i += ih;
     }
+}
+
+/// The mirror updates of one full panel at rows `i..i+4` × columns
+/// `j..j+4` (disjoint ranges): `out[i+a] += Σ_b K_ab·v[j+b]` and
+/// `out[j+b] += Σ_a K_ab·v[i+a]`. Both output segments are copied into
+/// fixed-size locals, so every update loop has constant bounds and
+/// compiles to vector FMAs; each element still takes its `mul_add`s in the
+/// scalar order (`b` ascending for `out[i+a]`, `a` ascending for
+/// `out[j+b]`), so the bits are those of the per-entry loop.
+#[inline(always)]
+fn mirror_full_panel<T: Real>(
+    panel: &[[T; PANEL_NR]; PANEL_MR],
+    (i, j): (usize, usize),
+    v: &[T],
+    out: &mut [T],
+) {
+    let vi: [T; PANEL_MR] = v[i..i + PANEL_MR].try_into().expect("full panel rows");
+    let vj: [T; PANEL_NR] = v[j..j + PANEL_NR].try_into().expect("full panel columns");
+    let mut oi: [T; PANEL_MR] = out[i..i + PANEL_MR].try_into().expect("full panel rows");
+    let mut oj: [T; PANEL_NR] = out[j..j + PANEL_NR].try_into().expect("full panel columns");
+    for (b, &vb) in vj.iter().enumerate() {
+        for (o, prow) in oi.iter_mut().zip(panel) {
+            *o = prow[b].mul_add(vb, *o);
+        }
+    }
+    for (prow, &va) in panel.iter().zip(&vi) {
+        for (o, &k) in oj.iter_mut().zip(prow) {
+            *o = k.mul_add(va, *o);
+        }
+    }
+    out[i..i + PANEL_MR].copy_from_slice(&oi);
+    out[j..j + PANEL_NR].copy_from_slice(&oj);
 }
 
 /// The diagonal cache tile `[i0,i1)²`: the diagonal and the strict upper

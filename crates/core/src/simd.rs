@@ -32,17 +32,27 @@
 //! * A full 4×4 panel entry is bitwise identical to the per-pair
 //!   [`dot`]/[`dist_sq`] of the same tier (same chain, same reduction), and
 //!   for `d <` lane-width every tier degenerates to the scalar chain
-//!   exactly.
+//!   exactly. The x86 panel kernels reduce as vectors: a W×W transpose of
+//!   W pairs' accumulators (4×4 for AVX2 f64, 8×8 for AVX2 f32 and
+//!   AVX-512 f64, 16×16 for AVX-512 f32) puts lane k of every pair in one
+//!   vector, and adding the lane vectors 0, 1, …, W−1 in order is each
+//!   pair's own lane-by-lane sum. The per-pair kernels keep the scalar
+//!   lane loop as the reference the panels are tested against.
+//! * The register tile changes no pair's chain: AVX-512 runs the panel in
+//!   one pass of 16 accumulators, AVX2 in two 2×4 halves of 8, so every
+//!   accumulator stays in a register through the feature loop.
 //! * Different tiers group the FMA chain differently and may differ from
 //!   scalar by a few ULP — the same reassociation tolerance the
 //!   cross-backend conformance suite already admits.
 //!
 //! # Where tier dispatch happens
 //!
-//! The panel primitives above dispatch per call. The loops around them are
-//! plain Rust compiled a second and third time, under
-//! `#[target_feature(enable = "avx512f")]` and `"avx2,fma"`, by the
-//! crate-internal `tiered!` macro, and dispatched once per parallel task:
+//! The panel primitives above dispatch per call; the dispatch is always
+//! inlined, so inside a tiered loop it is one branch on the tier before the
+//! kernel call. The loops around them are plain Rust compiled a second and
+//! third time, under `#[target_feature(enable = "avx512f")]` and
+//! `"avx2,fma"`, by the crate-internal `tiered!` macro, and dispatched once
+//! per parallel task:
 //!
 //! * the matvec tile loops of [`crate::backend::cpu_blocked`], once per
 //!   partial group of the symmetric schedule (diagonal straddle blocks,
@@ -353,19 +363,19 @@ pub fn dist_sq<T: Real>(isa: Isa, a: &[T], b: &[T]) -> T {
 /// [`kernel::panel_dot`]. Full tiles run one vector FMA chain per pair;
 /// partial tiles fall back to per-pair [`dot`]s of the same tier, so every
 /// produced entry is bitwise identical to the per-pair evaluation.
-#[inline]
+#[inline(always)]
 pub fn panel_dot<T: Real>(isa: Isa, ra: &[&[T]], rb: &[&[T]]) -> Panel<T> {
     panel_impl(isa, ra, rb, false)
 }
 
 /// Dispatched panel of squared distances — the SIMD form of
 /// [`kernel::panel_dist_sq`].
-#[inline]
+#[inline(always)]
 pub fn panel_dist_sq<T: Real>(isa: Isa, ra: &[&[T]], rb: &[&[T]]) -> Panel<T> {
     panel_impl(isa, ra, rb, true)
 }
 
-#[inline]
+#[inline(always)]
 fn panel_impl<T: Real>(isa: Isa, ra: &[&[T]], rb: &[&[T]], dist: bool) -> Panel<T> {
     debug_assert!(ra.len() <= PANEL_MR && rb.len() <= PANEL_NR);
     let isa = isa.clamp_supported();
@@ -412,14 +422,161 @@ fn panel_impl<T: Real>(isa: Isa, ra: &[&[T]], rb: &[&[T]], dist: bool) -> Panel<
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use crate::kernel::{PANEL_MR, PANEL_NR};
+    use core::arch::x86_64::*;
+
+    /// The chunk loop of one panel pass: every listed row of `a` against
+    /// the four rows of `b`, one vector FMA chain per pair. The
+    /// accumulators are named locals rather than an array the loop
+    /// indexes, so they live in registers for the whole loop. Evaluates to
+    /// the accumulators in row-major pair order.
+    macro_rules! chunk_loop {
+        ($load:ident, $zero:ident, $step:expr, $w:expr, $chunks:expr, $b:expr;
+         $($ra:expr => $c0:ident $c1:ident $c2:ident $c3:ident),+) => {{
+            $(let (mut $c0, mut $c1, mut $c2, mut $c3) = ($zero(), $zero(), $zero(), $zero());)+
+            for c in 0..$chunks {
+                let o = c * $w;
+                let b0 = $load($b[0].as_ptr().add(o));
+                let b1 = $load($b[1].as_ptr().add(o));
+                let b2 = $load($b[2].as_ptr().add(o));
+                let b3 = $load($b[3].as_ptr().add(o));
+                $(
+                    let va = $load($ra.as_ptr().add(o));
+                    $c0 = $step(va, b0, $c0);
+                    $c1 = $step(va, b1, $c1);
+                    $c2 = $step(va, b2, $c2);
+                    $c3 = $step(va, b3, $c3);
+                )+
+            }
+            [$($c0, $c1, $c2, $c3),+]
+        }};
+    }
+
+    /// The accumulator passes of one 4×4 panel, each reduced into its rows
+    /// of `out` before the next starts. `full` runs all four rows in one
+    /// pass: 16 accumulators, four `b` vectors and one `a` vector fit
+    /// AVX-512's 32 registers. `halves` runs rows 0–1, then rows 2–3: eight
+    /// accumulators per half fit AVX2's 16 registers beside them.
+    macro_rules! panel_passes {
+        (full, $load:ident, $zero:ident, $step:expr, $w:expr, $chunks:expr,
+         $a:expr, $b:expr, $out:expr) => {{
+            let acc = chunk_loop!($load, $zero, $step, $w, $chunks, $b;
+                $a[0] => c00 c01 c02 c03, $a[1] => c10 c11 c12 c13,
+                $a[2] => c20 c21 c22 c23, $a[3] => c30 c31 c32 c33);
+            reduce(&acc, $out.as_mut_ptr().cast());
+        }};
+        (halves, $load:ident, $zero:ident, $step:expr, $w:expr, $chunks:expr,
+         $a:expr, $b:expr, $out:expr) => {{
+            for half in (0..PANEL_MR).step_by(2) {
+                let acc = chunk_loop!($load, $zero, $step, $w, $chunks, $b;
+                    $a[half] => c00 c01 c02 c03, $a[half + 1] => c10 c11 c12 c13);
+                reduce(&acc, $out[half..].as_mut_ptr().cast());
+            }
+        }};
+    }
+
+    /// In-place transpose of a 4×4 f64 matrix held as four AVX2 rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn transpose_avx2_f64(m: &mut [__m256d; 4]) {
+        let t0 = _mm256_unpacklo_pd(m[0], m[1]);
+        let t1 = _mm256_unpackhi_pd(m[0], m[1]);
+        let t2 = _mm256_unpacklo_pd(m[2], m[3]);
+        let t3 = _mm256_unpackhi_pd(m[2], m[3]);
+        m[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+        m[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+        m[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+        m[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+    }
+
+    /// In-place transpose of an 8×8 f32 matrix held as eight AVX2 rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn transpose_avx2_f32(m: &mut [__m256; 8]) {
+        let mut t = [_mm256_setzero_ps(); 8];
+        for r in (0..8).step_by(2) {
+            t[r] = _mm256_unpacklo_ps(m[r], m[r + 1]);
+            t[r + 1] = _mm256_unpackhi_ps(m[r], m[r + 1]);
+        }
+        let mut u = [_mm256_setzero_ps(); 8];
+        for r in (0..8).step_by(4) {
+            u[r] = _mm256_shuffle_ps(t[r], t[r + 2], 0x44);
+            u[r + 1] = _mm256_shuffle_ps(t[r], t[r + 2], 0xEE);
+            u[r + 2] = _mm256_shuffle_ps(t[r + 1], t[r + 3], 0x44);
+            u[r + 3] = _mm256_shuffle_ps(t[r + 1], t[r + 3], 0xEE);
+        }
+        for r in 0..4 {
+            m[r] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x20);
+            m[r + 4] = _mm256_permute2f128_ps(u[r], u[r + 4], 0x31);
+        }
+    }
+
+    /// Source lane of lane `c` at level `h` of a butterfly transpose of a
+    /// `w`×`w` matrix, in `_mm512_permutex2var_*` form (`w + l` is lane `l`
+    /// of the second source). The level swaps bit `h` between row and
+    /// column index: row `r` (bit `h` clear) keeps its lanes with bit `h`
+    /// clear and takes the others from row `r + h`, `h` lanes down; row
+    /// `r + h` (`upper`) gets the rest. Levels `w/2, …, 2, 1` together swap
+    /// every bit, which is the transpose.
+    const fn butterfly_lane(w: usize, h: usize, upper: bool, c: usize) -> usize {
+        match (c & h == 0, upper) {
+            (true, false) => c,
+            (false, false) => w + c - h,
+            (true, true) => c + h,
+            (false, true) => w + c,
+        }
+    }
+
+    /// In-place butterfly transpose of a `$w`×`$w` matrix of AVX-512 rows.
+    macro_rules! butterfly_transpose {
+        ($m:expr, $w:expr, $idx:ty, $permute:ident) => {{
+            let mut h = $w / 2;
+            while h > 0 {
+                let lo: [$idx; $w] =
+                    core::array::from_fn(|c| butterfly_lane($w, h, false, c) as $idx);
+                let hi: [$idx; $w] =
+                    core::array::from_fn(|c| butterfly_lane($w, h, true, c) as $idx);
+                let lo = _mm512_loadu_si512(lo.as_ptr().cast());
+                let hi = _mm512_loadu_si512(hi.as_ptr().cast());
+                for r in 0..$w {
+                    if r & h == 0 {
+                        let (x, y) = ($m[r], $m[r + h]);
+                        $m[r] = $permute(x, lo, y);
+                        $m[r + h] = $permute(x, hi, y);
+                    }
+                }
+                h /= 2;
+            }
+        }};
+    }
+
+    /// In-place transpose of an 8×8 f64 matrix held as eight AVX-512 rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline(always)]
+    unsafe fn transpose_avx512_f64(m: &mut [__m512d; 8]) {
+        butterfly_transpose!(m, 8, i64, _mm512_permutex2var_pd)
+    }
+
+    /// In-place transpose of a 16×16 f32 matrix held as sixteen AVX-512
+    /// rows.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline(always)]
+    unsafe fn transpose_avx512_f32(m: &mut [__m512; 16]) {
+        butterfly_transpose!(m, 16, i32, _mm512_permutex2var_ps)
+    }
 
     macro_rules! x86_kernels {
-        ($modname:ident, $feat:literal, $t:ty, $w:expr, $v:ty,
-         $setzero:ident, $loadu:ident, $storeu:ident, $fmadd:ident, $sub:ident) => {
+        ($modname:ident, $feat:literal, $t:ty, $w:expr, $v:ty, $shape:ident, $transpose:ident,
+         $setzero:ident, $loadu:ident, $storeu:ident, $add:ident, $fmadd:ident, $sub:ident) => {
             pub(super) mod $modname {
-                #[allow(unused_imports)]
-                use super::{PANEL_MR, PANEL_NR};
-                use core::arch::x86_64::*;
+                use super::*;
 
                 /// # Safety
                 /// The CPU must support the tier's target features and
@@ -484,36 +641,7 @@ mod x86 {
                     b: &[&[$t]; PANEL_NR],
                     out: &mut [[$t; PANEL_NR]; PANEL_MR],
                 ) {
-                    let d = a[0].len();
-                    let chunks = d / $w;
-                    let mut acc = [[$setzero(); PANEL_NR]; PANEL_MR];
-                    for c in 0..chunks {
-                        let o = c * $w;
-                        let mut vb = [$setzero(); PANEL_NR];
-                        for (slot, rb) in vb.iter_mut().zip(b) {
-                            *slot = $loadu(rb.as_ptr().add(o));
-                        }
-                        for (acc_row, ra) in acc.iter_mut().zip(a) {
-                            let va = $loadu(ra.as_ptr().add(o));
-                            for (slot, &vbj) in acc_row.iter_mut().zip(&vb) {
-                                *slot = $fmadd(va, vbj, *slot);
-                            }
-                        }
-                    }
-                    for ((acc_row, out_row), ra) in acc.iter().zip(out.iter_mut()).zip(a) {
-                        for ((accv, slot), rb) in acc_row.iter().zip(out_row.iter_mut()).zip(b) {
-                            let mut lanes = [0.0 as $t; $w];
-                            $storeu(lanes.as_mut_ptr(), *accv);
-                            let mut s = lanes[0];
-                            for l in &lanes[1..] {
-                                s += *l;
-                            }
-                            for f in (chunks * $w)..d {
-                                s = ra[f].mul_add(rb[f], s);
-                            }
-                            *slot = s;
-                        }
-                    }
+                    panel::<false>(a, b, out)
                 }
 
                 /// # Safety
@@ -524,34 +652,81 @@ mod x86 {
                     b: &[&[$t]; PANEL_NR],
                     out: &mut [[$t; PANEL_NR]; PANEL_MR],
                 ) {
+                    panel::<true>(a, b, out)
+                }
+
+                /// One chain step of a pair: `acc + a·b`, or `acc + (a−b)²`.
+                ///
+                /// # Safety
+                /// The CPU must support the tier's target features.
+                #[inline(always)]
+                unsafe fn step<const DIST: bool>(va: $v, vb: $v, acc: $v) -> $v {
+                    if DIST {
+                        let diff = $sub(va, vb);
+                        $fmadd(diff, diff, acc)
+                    } else {
+                        $fmadd(va, vb, acc)
+                    }
+                }
+
+                /// Sums each pair's lanes and stores the sums to `out`
+                /// (row-major pairs), `$w` pairs at a time. The transpose
+                /// puts lane k of every pair of a group in one vector, so
+                /// adding the lane vectors in order performs each pair's
+                /// lane 0 + lane 1 + … exactly as [`dot`] does.
+                ///
+                /// # Safety
+                /// The CPU must support the tier's target features, and
+                /// `out` must be valid for `N` writes.
+                #[inline(always)]
+                unsafe fn reduce<const N: usize>(acc: &[$v; N], out: *mut $t) {
+                    for (g, group) in acc.chunks_exact($w).enumerate() {
+                        let mut lanes: [$v; $w] = core::array::from_fn(|k| group[k]);
+                        $transpose(&mut lanes);
+                        let mut s = lanes[0];
+                        for &lane in &lanes[1..] {
+                            s = $add(s, lane);
+                        }
+                        $storeu(out.add(g * $w), s);
+                    }
+                }
+
+                /// # Safety
+                /// Same contract as [`panel_dot`].
+                #[inline]
+                #[target_feature(enable = $feat)]
+                unsafe fn panel<const DIST: bool>(
+                    a: &[&[$t]; PANEL_MR],
+                    b: &[&[$t]; PANEL_NR],
+                    out: &mut [[$t; PANEL_NR]; PANEL_MR],
+                ) {
                     let d = a[0].len();
                     let chunks = d / $w;
-                    let mut acc = [[$setzero(); PANEL_NR]; PANEL_MR];
-                    for c in 0..chunks {
-                        let o = c * $w;
-                        let mut vb = [$setzero(); PANEL_NR];
-                        for (slot, rb) in vb.iter_mut().zip(b) {
-                            *slot = $loadu(rb.as_ptr().add(o));
-                        }
-                        for (acc_row, ra) in acc.iter_mut().zip(a) {
-                            let va = $loadu(ra.as_ptr().add(o));
-                            for (slot, &vbj) in acc_row.iter_mut().zip(&vb) {
-                                let diff = $sub(va, vbj);
-                                *slot = $fmadd(diff, diff, *slot);
-                            }
-                        }
+                    panel_passes!(
+                        $shape,
+                        $loadu,
+                        $setzero,
+                        step::<DIST>,
+                        $w,
+                        chunks,
+                        a,
+                        b,
+                        out
+                    );
+                    let done = chunks * $w;
+                    if done == d {
+                        return;
                     }
-                    for ((acc_row, out_row), ra) in acc.iter().zip(out.iter_mut()).zip(a) {
-                        for ((accv, slot), rb) in acc_row.iter().zip(out_row.iter_mut()).zip(b) {
-                            let mut lanes = [0.0 as $t; $w];
-                            $storeu(lanes.as_mut_ptr(), *accv);
-                            let mut s = lanes[0];
-                            for l in &lanes[1..] {
-                                s += *l;
-                            }
-                            for f in (chunks * $w)..d {
-                                let diff = ra[f] - rb[f];
-                                s = diff.mul_add(diff, s);
+                    for (out_row, ra) in out.iter_mut().zip(a) {
+                        for (slot, rb) in out_row.iter_mut().zip(b) {
+                            let mut s = *slot;
+                            for (&x, &y) in ra[done..d].iter().zip(&rb[done..d]) {
+                                s = if DIST {
+                                    let diff = x - y;
+                                    diff.mul_add(diff, s)
+                                } else {
+                                    x.mul_add(y, s)
+                                };
                             }
                             *slot = s;
                         }
@@ -567,9 +742,12 @@ mod x86 {
         f32,
         8,
         __m256,
+        halves,
+        transpose_avx2_f32,
         _mm256_setzero_ps,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
+        _mm256_add_ps,
         _mm256_fmadd_ps,
         _mm256_sub_ps
     );
@@ -579,9 +757,12 @@ mod x86 {
         f64,
         4,
         __m256d,
+        halves,
+        transpose_avx2_f64,
         _mm256_setzero_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
+        _mm256_add_pd,
         _mm256_fmadd_pd,
         _mm256_sub_pd
     );
@@ -591,9 +772,12 @@ mod x86 {
         f32,
         16,
         __m512,
+        full,
+        transpose_avx512_f32,
         _mm512_setzero_ps,
         _mm512_loadu_ps,
         _mm512_storeu_ps,
+        _mm512_add_ps,
         _mm512_fmadd_ps,
         _mm512_sub_ps
     );
@@ -603,9 +787,12 @@ mod x86 {
         f64,
         8,
         __m512d,
+        full,
+        transpose_avx512_f64,
         _mm512_setzero_pd,
         _mm512_loadu_pd,
         _mm512_storeu_pd,
+        _mm512_add_pd,
         _mm512_fmadd_pd,
         _mm512_sub_pd
     );
@@ -821,7 +1008,7 @@ fn simd_pair<T: Real>(isa: Isa, a: &[T], b: &[T], dist: bool) -> Option<T> {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[inline]
+#[inline(always)]
 fn panel_full<T: Real>(
     isa: Isa,
     a: &[&[T]; PANEL_MR],
@@ -881,7 +1068,7 @@ fn simd_pair<T: Real>(isa: Isa, a: &[T], b: &[T], dist: bool) -> Option<T> {
 }
 
 #[cfg(target_arch = "aarch64")]
-#[inline]
+#[inline(always)]
 fn panel_full<T: Real>(
     isa: Isa,
     a: &[&[T]; PANEL_MR],
@@ -918,7 +1105,7 @@ fn simd_pair<T: Real>(_isa: Isa, _a: &[T], _b: &[T], _dist: bool) -> Option<T> {
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-#[inline]
+#[inline(always)]
 fn panel_full<T: Real>(
     _isa: Isa,
     _a: &[&[T]; PANEL_MR],

@@ -806,6 +806,11 @@ fn expand_share_body<T: Real>(
                 *slot = x.row(base + b);
             }
             let rb = if acc.len() == 1 { &rb[..1] } else { &rb[..] };
+            // A fixed-size local the panel updates as whole vectors; each
+            // sum still takes its `mul_add`s in SV order. Lanes past
+            // `acc.len()` are scratch and never stored.
+            let mut sums = [T::ZERO; PANEL_NR];
+            sums[..acc.len()].copy_from_slice(acc);
             let mut i = tile;
             while i < tile_end {
                 let h = (tile_end - i).min(PANEL_MR);
@@ -814,13 +819,14 @@ fn expand_share_body<T: Real>(
                     *slot = sv.row(i + a);
                 }
                 let panel = kernel_panel(kernel, isa, &ra[..h], rb);
-                for (a, prow) in panel.iter().enumerate().take(h) {
-                    for (o, &k) in acc.iter_mut().zip(prow) {
-                        *o = coef[i + a].mul_add(k, *o);
+                for (prow, &c) in panel.iter().zip(&coef[i..i + h]) {
+                    for (s, &k) in sums.iter_mut().zip(prow) {
+                        *s = c.mul_add(k, *s);
                     }
                 }
                 i += h;
             }
+            acc.copy_from_slice(&sums[..acc.len()]);
         }
     }
 }

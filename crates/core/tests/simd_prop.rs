@@ -1,8 +1,9 @@
 //! Property tests for the SIMD micro-kernels (`plssvm_core::simd`).
 //!
 //! Three contracts, exercised over adversarial vector lengths — 0, 1,
-//! every lane width W in use (2, 4, 8, 16) plus W−1 and W+1, and primes
-//! that are coprime to every lane width:
+//! every lane width W in use (2, 4, 8, 16) plus W−1 and W+1, primes
+//! that are coprime to every lane width, and the benchmark widths 64 and
+//! 128:
 //!
 //! 1. **Accuracy** — each SIMD `dot`/`dist_sq` agrees with the scalar
 //!    reference within a 4-ULP reassociation bound. The ULP is anchored
@@ -13,9 +14,9 @@
 //!    its result and its magnitude basis coincide.
 //! 2. **Panel ≡ per-pair** — every entry of a dispatched panel is
 //!    bitwise identical to the per-pair `dot`/`dist_sq` of the same
-//!    tier, for full 4×4 tiles and ragged partial tiles alike. This is
-//!    the invariant that makes the blocked engine's output independent
-//!    of how rows are grouped into panels.
+//!    tier, for full 4×4 tiles and ragged partial tiles alike, in f64 and
+//!    f32. This is the invariant that makes the blocked engine's output
+//!    independent of how rows are grouped into panels.
 //! 3. **Degeneration** — for d below the tier's lane width the vector
 //!    chain has no full chunk, so every tier must reproduce the scalar
 //!    chain bit for bit.
@@ -25,12 +26,14 @@
 
 use plssvm_core::kernel::{self, PANEL_MR, PANEL_NR};
 use plssvm_core::simd::{self, Isa};
+use plssvm_data::Real;
 use proptest::prelude::*;
 
-/// Lengths that straddle every lane width plus primes coprime to all of
-/// them: 0, 1, W−1, W, W+1 for W ∈ {2, 4, 8, 16}, and 97 / 257.
+/// Lengths that straddle every lane width, primes coprime to all of them
+/// and the benchmark workloads' widths: 0, 1, W−1, W, W+1 for
+/// W ∈ {2, 4, 8, 16}, 97 / 257, and 64 / 128.
 fn adversarial_lengths() -> Vec<usize> {
-    let mut lens = vec![0, 1, 97, 257];
+    let mut lens = vec![0, 1, 64, 97, 128, 257];
     for w in [2usize, 4, 8, 16] {
         lens.extend([w - 1, w, w + 1]);
     }
@@ -70,6 +73,67 @@ fn vector_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
 /// (which must be ≥ |true result| and non-cancelling).
 fn bound(basis: f64, d: usize) -> f64 {
     4.0 * f64::EPSILON * d.max(1) as f64 * basis.max(1.0)
+}
+
+/// Panel operands of one adversarial length: `PANEL_MR` candidate `a`
+/// rows then `PANEL_NR` `b` rows, and a panel height and width.
+fn panel_rows() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
+    length().prop_flat_map(|d| {
+        (
+            proptest::collection::vec(
+                proptest::collection::vec(-100.0..100.0f64, d..=d),
+                PANEL_MR + PANEL_NR..=PANEL_MR + PANEL_NR,
+            ),
+            1..=PANEL_MR,
+            1..=PANEL_NR,
+        )
+    })
+}
+
+/// Checks that every entry of the `h`×`w` panel over `rows` equals the
+/// per-pair `dot`/`dist_sq` of the same tier bit for bit, on every tier
+/// the host supports.
+fn check_panel_matches_per_pair<T: Real>(
+    rows: &[Vec<T>],
+    h: usize,
+    w: usize,
+) -> Result<(), TestCaseError> {
+    let ra: Vec<&[T]> = rows[..h].iter().map(Vec::as_slice).collect();
+    let rb: Vec<&[T]> = rows[PANEL_MR..PANEL_MR + w]
+        .iter()
+        .map(Vec::as_slice)
+        .collect();
+    for isa in Isa::available() {
+        let dots = simd::panel_dot(isa, &ra, &rb);
+        let dists = simd::panel_dist_sq(isa, &ra, &rb);
+        for (i, &row_a) in ra.iter().enumerate() {
+            for (j, &row_b) in rb.iter().enumerate() {
+                prop_assert_eq!(
+                    dots[i][j].to_f64().to_bits(),
+                    simd::dot(isa, row_a, row_b).to_f64().to_bits(),
+                    "{} panel_dot [{},{}] h={} w={} d={}",
+                    isa,
+                    i,
+                    j,
+                    h,
+                    w,
+                    row_a.len()
+                );
+                prop_assert_eq!(
+                    dists[i][j].to_f64().to_bits(),
+                    simd::dist_sq(isa, row_a, row_b).to_f64().to_bits(),
+                    "{} panel_dist_sq [{},{}] h={} w={} d={}",
+                    isa,
+                    i,
+                    j,
+                    h,
+                    w,
+                    row_a.len()
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -140,38 +204,20 @@ proptest! {
     /// Every panel entry — full or ragged — is bitwise identical to the
     /// per-pair evaluation of the same tier.
     #[test]
-    fn panel_entries_bitwise_match_per_pair(
-        (rows, h, w) in length().prop_flat_map(|d| {
-            (
-                proptest::collection::vec(
-                    proptest::collection::vec(-100.0..100.0f64, d..=d),
-                    PANEL_MR + PANEL_NR..=PANEL_MR + PANEL_NR,
-                ),
-                1..=PANEL_MR,
-                1..=PANEL_NR,
-            )
-        })
-    ) {
-        let ra: Vec<&[f64]> = rows[..h].iter().map(Vec::as_slice).collect();
-        let rb: Vec<&[f64]> = rows[PANEL_MR..PANEL_MR + w].iter().map(Vec::as_slice).collect();
-        for isa in Isa::available() {
-            let dots = simd::panel_dot(isa, &ra, &rb);
-            let dists = simd::panel_dist_sq(isa, &ra, &rb);
-            for (i, &row_a) in ra.iter().enumerate() {
-                for (j, &row_b) in rb.iter().enumerate() {
-                    prop_assert_eq!(
-                        dots[i][j].to_bits(),
-                        simd::dot(isa, row_a, row_b).to_bits(),
-                        "{} panel_dot [{},{}] h={} w={} d={}", isa, i, j, h, w, row_a.len()
-                    );
-                    prop_assert_eq!(
-                        dists[i][j].to_bits(),
-                        simd::dist_sq(isa, row_a, row_b).to_bits(),
-                        "{} panel_dist_sq [{},{}] h={} w={} d={}", isa, i, j, h, w, row_a.len()
-                    );
-                }
-            }
-        }
+    fn panel_entries_bitwise_match_per_pair((rows, h, w) in panel_rows()) {
+        check_panel_matches_per_pair(&rows, h, w)?;
+    }
+
+    /// The f32 twin: pins the 8×8 (AVX2) and 16×16 (AVX-512) lane
+    /// transposes of the f32 panel reduction bit for bit against the
+    /// per-pair kernels.
+    #[test]
+    fn panel_entries_bitwise_match_per_pair_f32((rows, h, w) in panel_rows()) {
+        let rows: Vec<Vec<f32>> = rows
+            .iter()
+            .map(|r| r.iter().map(|&x| x as f32).collect())
+            .collect();
+        check_panel_matches_per_pair(&rows, h, w)?;
     }
 
     /// f32 accuracy: the same 4-ULP contract holds in single precision.

@@ -296,17 +296,23 @@ fn child_entry() {
     }
 }
 
+/// The child's output is captured, not inherited: its harness prints an
+/// unterminated `test child_entry ... ` line before aborting, which would
+/// otherwise splice into whatever line the parent harness prints next.
 fn spawn_crashing_child(stage: &str, dir: &Path) {
     let exe = std::env::current_exe().unwrap();
-    let status = Command::new(exe)
+    let out = Command::new(exe)
         .args(["child_entry", "--exact", "--test-threads=1"])
         .env(STAGE_ENV, stage)
         .env(DIR_ENV, dir)
-        .status()
+        .output()
         .unwrap();
     assert!(
-        status.code().is_none(),
-        "child at stage '{stage}' should die by signal (abort), got {status:?}"
+        out.status.code().is_none(),
+        "child at stage '{stage}' should die by signal (abort), got {:?}\nstdout:\n{}\nstderr:\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
