@@ -1,18 +1,33 @@
-//! Argument parsing for the CLI binaries (hand rolled, LIBSVM style).
+//! Argument parsing for the CLI binaries (LIBSVM style).
+//!
+//! Each binary declares its flags in one table (a `Cli`). A row holds a
+//! flag's spellings and value placeholder, its help text with the
+//! default, the `svm-train` modes it applies in, a condition it needs
+//! from the rest of the command line, and its parse action. One loop
+//! parses every binary's arguments from its table, the usage text is
+//! rendered from it, and one `main` helper runs every binary. Each
+//! parsed-arguments struct's `Default` is its all-zero value; its
+//! `parse_*` function applies every row's default over it.
 
+use std::error::Error;
 use std::fmt;
+use std::process::ExitCode;
+use std::str::FromStr;
 
-use plssvm_core::backend::simgpu::TilingConfig;
 use plssvm_core::backend::BackendSelection;
 use plssvm_core::backend::CpuTilingConfig;
 use plssvm_core::lowrank::{LandmarkStrategy, SolverSelection, DEFAULT_SEED};
+use plssvm_core::SvmError;
 use plssvm_data::model::KernelSpec;
 use plssvm_data::vfs::FaultPlan as IoFaultPlan;
 use plssvm_simgpu::hw;
 use plssvm_simgpu::Backend as DeviceApi;
 use plssvm_simgpu::FaultPlan;
 
-/// Errors from command line parsing.
+use crate::commands::{run_generate, run_predict, run_scale, run_serve, run_train, StorageError};
+
+/// Errors from command line parsing. An empty message asks for the usage
+/// text alone (`--help`).
 #[derive(Debug, PartialEq, Eq)]
 pub struct CliError(pub String);
 
@@ -22,16 +37,242 @@ impl fmt::Display for CliError {
     }
 }
 
-impl std::error::Error for CliError {}
+impl Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+// The `svm-train` mode axis, one bit per mode; `commands::check_modes`
+// works out a run's mode and refuses the flags outside it.
+pub(crate) const BINARY: u8 = 1;
+pub(crate) const SVR: u8 = 2;
+pub(crate) const MULTI: u8 = 4;
+pub(crate) const CV: u8 = 8;
+pub(crate) const SMO_SPARSE: u8 = 16;
+pub(crate) const SMO_DENSE: u8 = 32;
+pub(crate) const THUNDER: u8 = 64;
+const SMO: u8 = SMO_SPARSE | SMO_DENSE;
+const LSSVM: u8 = BINARY | SVR | MULTI | CV;
+const ALL: u8 = LSSVM | SMO | THUNDER;
+
+/// One row of a binary's flag table.
+pub(crate) struct Flag<A> {
+    /// Spellings and value placeholder as the usage text shows them
+    /// (`-b, --backend backend`); a switch has no placeholder.
+    head: &'static str,
+    /// Help text. A final `(default X)` names the default: the parser
+    /// applies `X` first, and giving exactly `X` counts as not giving the
+    /// flag.
+    help: &'static str,
+    /// A prefix row (`-wi`) matches its spelling without the last letter
+    /// followed by more text (`-w1`, `-w-1`).
+    prefix: bool,
+    /// The `svm-train` modes the flag applies in.
+    pub(crate) modes: u8,
+    /// A condition on the whole command line that a given flag needs,
+    /// and the usage error when it is false.
+    needs: fn(&A) -> bool,
+    unmet: &'static str,
+    /// Applies the value (empty for a switch) given for the flag as typed.
+    action: fn(&mut A, &str, &str) -> Result<(), CliError>,
+}
+
+impl<A> Flag<A> {
+    const fn of(head: &'static str, help: &'static str) -> Self {
+        let (prefix, modes, unmet) = (false, ALL, "");
+        let (needs, action) = (|_: &A| true, |_: &mut A, _: &str, _: &str| Ok(()));
+        Flag {
+            head,
+            help,
+            prefix,
+            modes,
+            needs,
+            unmet,
+            action,
+        }
+    }
+
+    const fn needs(self, needs: fn(&A) -> bool, unmet: &'static str) -> Self {
+        Flag {
+            needs,
+            unmet,
+            ..self
+        }
+    }
+
+    const fn prefix(self) -> Self {
+        Flag {
+            prefix: true,
+            ..self
+        }
+    }
+
+    const fn action(self, action: fn(&mut A, &str, &str) -> Result<(), CliError>) -> Self {
+        Flag { action, ..self }
+    }
+
+    /// The spellings (`-b, --backend`) and the value placeholder.
+    fn split(&self) -> (&'static str, &'static str) {
+        match self.head.rsplit_once(' ') {
+            Some((names, value)) if !value.starts_with('-') => (names, value),
+            _ => (self.head, ""),
+        }
+    }
+
+    /// The spelling errors and refusals use.
+    pub(crate) fn name(&self) -> &'static str {
+        self.split().0.split(", ").next().unwrap_or_default()
+    }
+
+    fn default(&self) -> Option<&'static str> {
+        self.help
+            .strip_suffix(')')?
+            .rsplit_once("(default ")
+            .map(|(_, d)| d)
+    }
+
+    fn matches(&self, arg: &str) -> bool {
+        let names = self.split().0;
+        match names.strip_suffix('i').filter(|_| self.prefix) {
+            Some(stem) => arg.len() > stem.len() && arg.starts_with(stem),
+            None => names.split(", ").any(|name| name == arg),
+        }
+    }
+}
+
+impl Flag<TrainArgs> {
+    /// An `svm-train` row that applies in `modes`.
+    const fn on(modes: u8, head: &'static str, help: &'static str) -> Self {
+        Flag {
+            modes,
+            ..Self::of(head, help)
+        }
+    }
+}
+
+/// A binary's command line: name, operands, flag table and usage footer.
+pub(crate) struct Cli<A: 'static> {
+    name: &'static str,
+    operands: &'static str,
+    pub(crate) flags: &'static [Flag<A>],
+    footer: &'static str,
+}
+
+impl<A: Default> Cli<A> {
+    /// The one parse loop: applies every row's default, then each flag
+    /// through its row (a negative number is an operand, not a flag),
+    /// then checks what every given row needs. Returns the result, the
+    /// operands and the given rows (row `i` is bit `i`).
+    fn parse(&self, args: &[String]) -> Result<(A, Vec<String>, u64), CliError> {
+        let (mut out, mut operands, mut given) = (A::default(), Vec::new(), 0u64);
+        for flag in self.flags {
+            if let Some(default) = flag.default() {
+                (flag.action)(&mut out, flag.name(), default)?;
+            }
+        }
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" {
+                return Err(err(""));
+            }
+            let Some(i) = self.flags.iter().position(|f| f.matches(arg)) else {
+                let rest = arg.strip_prefix('-').unwrap_or_default();
+                if !rest.is_empty() && !rest.starts_with(|c: char| c.is_ascii_digit()) {
+                    return Err(err(format!("unknown option '{arg}'")));
+                }
+                operands.push(arg.clone());
+                continue;
+            };
+            let flag = &self.flags[i];
+            let value = match flag.split().1 {
+                "" => "",
+                _ => it
+                    .next()
+                    .ok_or_else(|| err(format!("missing value for {arg}")))?,
+            };
+            (flag.action)(&mut out, arg, value)?;
+            if value.is_empty() || flag.default() != Some(value) {
+                given |= 1 << i;
+            }
+        }
+        let mut rows = self.flags.iter().enumerate();
+        if let Some((_, flag)) = rows.find(|(i, f)| given >> i & 1 == 1 && !(f.needs)(&out)) {
+            return Err(err(flag.unmet));
+        }
+        Ok((out, operands, given))
+    }
+
+    /// The usage text, rendered from the flag table.
+    pub(crate) fn usage(&self) -> String {
+        let width = self.flags.iter().map(|f| f.head.len()).max().unwrap_or(0);
+        let indent = format!("\n{:1$}", "", width + 5);
+        let mut text = format!(
+            "usage: {} [options] {}\noptions:\n",
+            self.name, self.operands
+        );
+        for flag in self.flags {
+            let help = flag.help.replace('\n', &indent);
+            text.push_str(&format!("  {:width$} : {help}\n", flag.head));
+        }
+        text.push_str(&format!(
+            "  {:width$} : print this text\n{}",
+            "--help", self.footer
+        ));
+        text
+    }
+}
+
+fn num<T: FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
+    s.parse()
+        .map_err(|_| err(format!("invalid value '{s}' for {flag}")))
+}
+
+fn put<T>(slot: &mut T, value: T) -> Result<(), CliError> {
+    *slot = value;
+    Ok(())
+}
+
+fn set<T: FromStr>(slot: &mut T, flag: &str, value: &str) -> Result<(), CliError> {
+    put(slot, num(value, flag)?)
+}
+
+fn some<T: FromStr>(slot: &mut Option<T>, flag: &str, value: &str) -> Result<(), CliError> {
+    put(slot, Some(num(value, flag)?))
+}
+
+/// Parses a count of at least 1.
+fn positive<T: From<usize>>(slot: &mut T, flag: &str, value: &str) -> Result<(), CliError> {
+    match num(value, flag)? {
+        0 => Err(err(format!("{flag} must be at least 1"))),
+        k => put(slot, T::from(k)),
+    }
+}
+
+/// Stores the choice the value names.
+fn pick<T: Copy>(
+    slot: &mut T,
+    flag: &str,
+    value: &str,
+    choices: &[(&str, T)],
+) -> Result<(), CliError> {
+    match choices.iter().find(|(name, _)| *name == value) {
+        Some(&(_, choice)) => put(slot, choice),
+        None => {
+            let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+            let expected = names.join(", ");
+            Err(err(format!(
+                "unknown {flag} value '{value}' (expected {expected})"
+            )))
+        }
+    }
+}
+
 /// Which solver `svm-train` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Algorithm {
     /// The least squares SVM (PLSSVM, the default).
+    #[default]
     LsSvm,
     /// LIBSVM-style SMO over sparse rows.
     Smo,
@@ -42,54 +283,52 @@ pub enum Algorithm {
 }
 
 /// Multi-class strategy selection for `svm-train`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum McStrategy {
     /// One-vs-one (LIBSVM's scheme, the default).
+    #[default]
     Ovo,
     /// One-vs-rest.
     Ovr,
 }
 
-/// What `svm-train` does when the solver finishes non-converged even after
-/// the escalation ladder (`--on-nonconverged`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What `svm-train` does with a solve that stays non-converged after the
+/// escalation ladder (`--on-nonconverged`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NonConvergedAction {
     /// Refuse the model: exit with code 3 and no model file.
     Error,
-    /// Write the model but print a warning with the classified outcome
-    /// (the default).
+    /// Write the model and warn with the classified outcome (the default).
+    #[default]
     Warn,
     /// Write the model silently.
     Accept,
 }
 
-/// What `svm-train` does when the checkpoint journal degrades mid-run
-/// (persistent storage faults exhausted the retry budget and
-/// checkpointing was disabled) — `--on-io-degraded`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What `svm-train` does when persistent storage faults disable the
+/// checkpoint journal mid-run (`--on-io-degraded`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoDegradedAction {
     /// Refuse the model: exit with code 4 and no model file.
     Error,
-    /// Write the model but print a warning (the default — losing the
-    /// journal costs resumability, not correctness).
+    /// Write the model and warn (the default: resumability is lost, not
+    /// correctness).
+    #[default]
     Warn,
 }
 
-/// Parsed `svm-train` invocation.
-#[derive(Debug, Clone)]
+/// Parsed `svm-train` invocation. The flags are documented in the
+/// `svm-train` table, whose defaults [`parse_train`] applies over the
+/// all-zero [`Default`].
+#[derive(Debug, Clone, Default)]
 pub struct TrainArgs {
-    /// LIBSVM `-s`: 0 = C-SVC classification (default), 3 = epsilon-SVR
-    /// regression (solved as LS-SVR).
+    /// LIBSVM `-s`: 0 = C-SVC classification, 3 = epsilon-SVR (LS-SVR).
     pub svm_type: u8,
-    /// Cross-validation folds (LIBSVM `-v`); reports CV accuracy instead
-    /// of writing a model.
+    /// Cross-validation folds (`-v`): report CV accuracy, write no model.
     pub cv_folds: Option<usize>,
-    /// Multi-class decomposition (`--multiclass ovo|ovr`), used when the
-    /// training file has more than two classes.
+    /// Multi-class decomposition (`--multiclass`) for >2 classes.
     pub multiclass: McStrategy,
-    /// Kernel: 0 = linear, 1 = polynomial, 2 = rbf, 3 = sigmoid (LIBSVM
-    /// `-t`). Gamma defaults to `1/num_features` at run time when not
-    /// given.
+    /// Kernel (`-t`): 0 = linear, 1 = polynomial, 2 = rbf, 3 = sigmoid.
     pub kernel_type: u8,
     /// Polynomial degree (`-d`).
     pub degree: i32,
@@ -103,51 +342,31 @@ pub struct TrainArgs {
     pub epsilon: f64,
     /// Per-label weights on `C` (LIBSVM `-wi`): `(label, weight)` pairs.
     pub label_weights: Vec<(i32, f64)>,
-    /// Shrinking heuristic for the SMO algorithms (LIBSVM `-h`, default
-    /// on).
+    /// SMO shrinking heuristic (LIBSVM `-h`).
     pub shrinking: bool,
-    /// Kernel cache budget in MB (LIBSVM `-m`, default 100).
+    /// SMO kernel cache budget in MB (LIBSVM `-m`); its bytes fit a `usize`.
     pub cache_mb: usize,
     /// Solver selection (`-a`).
     pub algorithm: Algorithm,
-    /// Execution backend (`--backend`), LS-SVM only.
+    /// Execution backend (`-b`, `-n`, `-T`, `--cpu-tile`, `--hardware`, `--split`).
     pub backend: BackendSelection,
-    /// Write unified telemetry as JSON lines to this file
-    /// (`--metrics-out`), LS-SVM / LS-SVR only.
+    /// Telemetry JSON-lines file (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Deterministic device-fault injection plan (`--fault-plan`),
-    /// simulated device backends only. Spec grammar:
-    /// `fail:DEV@LAUNCH`, `transient:DEV@LAUNCH[xCOUNT]`,
-    /// `slow:DEV@LAUNCH[xFACTOR]`, separated by `;` or `,`, or
-    /// `seed:N` for a randomized plan.
+    /// Deterministic device-fault injection plan (`--fault-plan`).
     pub fault_plan: Option<FaultPlan>,
-    /// Snapshot CG state every this many iterations
-    /// (`--checkpoint-every`), LS-SVM / LS-SVR only. Defaults to 50
-    /// when `--checkpoint-dir` is given without an explicit interval.
+    /// Snapshot CG state every this many iterations (`--checkpoint-every`).
     pub checkpoint_every: Option<usize>,
-    /// Durable checkpoint journal directory (`--checkpoint-dir`),
-    /// LS-SVM / LS-SVR only. Solver state is snapshotted to disk so an
-    /// interrupted run can be continued with `--resume`.
+    /// Durable checkpoint journal directory (`--checkpoint-dir`).
     pub checkpoint_dir: Option<String>,
-    /// Continue from the newest loadable generation in
-    /// `--checkpoint-dir` (`--resume`).
+    /// Continue from the newest loadable generation (`--resume`).
     pub resume: bool,
-    /// Handling of non-converged solves (`--on-nonconverged
-    /// error|warn|accept`, default warn), LS-SVM / LS-SVR only.
+    /// Handling of non-converged solves (`--on-nonconverged`).
     pub on_nonconverged: NonConvergedAction,
-    /// Deterministic storage-fault injection plan (`--io-faults`):
-    /// every durable write (model, checkpoint journal, metrics) runs
-    /// through a [`FaultVfs`](plssvm_data::FaultVfs) replaying this
-    /// plan. Spec grammar: `kind:class@n[~substr][!]` entries separated
-    /// by `;` or `,`, or `seed:N[@H]` for a randomized plan.
+    /// Storage-fault plan every durable write replays (`--io-faults`).
     pub io_faults: Option<IoFaultPlan>,
-    /// Handling of a degraded checkpoint journal
-    /// (`--on-io-degraded error|warn`, default warn).
+    /// Handling of a degraded checkpoint journal (`--on-io-degraded`).
     pub on_io_degraded: IoDegradedAction,
-    /// Reduced-system solver (`--solver exact|lowrank`), LS-SVM / LS-SVR
-    /// only. The low-rank path needs `--rank` and optionally takes
-    /// `--lowrank-seed` and `--landmarks uniform|leverage`; it is
-    /// incompatible with `--resume`.
+    /// Reduced-system solver (`--solver`, `--rank`, `--lowrank-seed`, `--landmarks`).
     pub solver: SolverSelection,
     /// Suppress informational output (`-q` / `--quiet`).
     pub quiet: bool,
@@ -157,294 +376,246 @@ pub struct TrainArgs {
     pub input: String,
     /// Output model file (default: `<input>.model`).
     pub model: String,
+    /// The table rows given with a non-default value (row `i` is bit `i`).
+    pub(crate) given: u64,
+    // the flags `backend`, `solver` and `fault_plan` are assembled from
+    // once every flag is in
+    backend_name: String,
+    devices: usize,
+    threads: Option<usize>,
+    cpu_tile: Option<CpuTilingConfig>,
+    hardware: String,
+    row_split: bool,
+    fault_spec: Option<String>,
+    lowrank: bool,
+    rank: Option<usize>,
+    lowrank_seed: u64,
+    landmarks: LandmarkStrategy,
 }
 
-/// Parses `svm-train` arguments.
+/// The simulated device backends.
+const DEVICES: [&str; 4] = ["cuda", "opencl", "sycl", "dpcpp"];
+
+fn device(a: &TrainArgs) -> bool {
+    DEVICES.contains(&&*a.backend_name)
+}
+
+// the `--lowrank-seed` row's default is the library's
+const _: () = assert!(DEFAULT_SEED == 42);
+
+/// The `svm-train` flag table.
+#[rustfmt::skip]
+pub(crate) static TRAIN: Cli<TrainArgs> = Cli {
+    name: "svm-train",
+    operands: "training_set_file [model_file]",
+    flags: &[
+        Flag::on(BINARY | SVR | MULTI, "-s svm_type",
+                 "0 C-SVC classification, 3 epsilon-SVR regression (default 0)")
+            .action(|a, f, v| pick(&mut a.svm_type, f, v, &[("0", 0), ("3", 3)])),
+        Flag::on(ALL, "-t kernel_type", "0 linear, 1 polynomial, 2 rbf, 3 sigmoid (default 0)")
+            .action(|a, f, v| {
+                pick(&mut a.kernel_type, f, v, &[("0", 0), ("1", 1), ("2", 2), ("3", 3)])
+            }),
+        Flag::on(ALL, "-d degree", "polynomial degree (default 3)")
+            .action(|a, f, v| set(&mut a.degree, f, v)),
+        Flag::on(ALL, "-g gamma", "kernel gamma, 1/num_features when not given")
+            .action(|a, f, v| some(&mut a.gamma, f, v)),
+        Flag::on(ALL, "-r coef0", "polynomial coef0 (default 0)")
+            .action(|a, f, v| set(&mut a.coef0, f, v)),
+        Flag::on(ALL, "-c cost", "C parameter (default 1)")
+            .action(|a, f, v| set(&mut a.cost, f, v)),
+        Flag::on(ALL, "-e epsilon", "termination criterion (default 0.001)")
+            .action(|a, f, v| set(&mut a.epsilon, f, v)),
+        Flag::on(BINARY | SMO | THUNDER, "-a, --algorithm algorithm",
+                 "lssvm | smo | smo-dense | thunder (default lssvm)")
+            .action(|a, f, v| pick(&mut a.algorithm, f, v, &[
+                ("lssvm", Algorithm::LsSvm), ("smo", Algorithm::Smo),
+                ("smo-dense", Algorithm::SmoDense), ("thunder", Algorithm::Thunder),
+            ])),
+        Flag::on(BINARY | CV, "-v folds", "k-fold cross validation (no model file written)")
+            .action(|a, f, v| match num(v, f)? {
+                0 | 1 => Err(err("cross validation needs at least 2 folds")),
+                k => put(&mut a.cv_folds, Some(k)),
+            }),
+        Flag::on(BINARY | SMO, "-wi weight", "weight on C for label i, -wLABEL (e.g. -w1 5 -w-1 1)")
+            .prefix()
+            .action(|a, f, v| match (num::<i32>(&f[2..], f)?, num::<f64>(v, f)?) {
+                (label, weight) if weight > 0.0 => {
+                    a.label_weights.push((label, weight));
+                    Ok(())
+                }
+                (label, _) => Err(err(format!("weight for label {label} must be positive"))),
+            }),
+        // LIBSVM's shrinking flag; any other value asks for help
+        Flag::on(SMO, "-h 0|1", "shrinking heuristic for SMO algorithms (default 1)")
+            .action(|a, _, v| match v {
+                "0" | "1" => put(&mut a.shrinking, v == "1"),
+                _ => Err(err("")),
+            }),
+        Flag::on(SMO, "-m megabytes", "SMO kernel cache size (default 100)")
+            .action(|a, f, v| match num::<usize>(v, f)? {
+                mb if mb > usize::MAX >> 20 => Err(err(format!("-m {mb} is too large"))),
+                mb => put(&mut a.cache_mb, mb),
+            }),
+        Flag::on(MULTI, "--multiclass s", "ovo | ovr for files with >2 classes (default ovo)")
+            .action(|a, f, v| {
+                pick(&mut a.multiclass, f, v, &[("ovo", McStrategy::Ovo), ("ovr", McStrategy::Ovr)])
+            }),
+        Flag::on(LSSVM, "-b, --backend backend",
+                 "serial | openmp | sparse | cuda | opencl | sycl | dpcpp (default openmp)")
+            .action(|a, f, v| set(&mut a.backend_name, f, v)),
+        Flag::on(LSSVM, "-n, --devices devices", "simulated device count (default 1)")
+            .needs(device, "-n requires a device backend (-b cuda|opencl|sycl|dpcpp)")
+            .action(|a, f, v| set(&mut a.devices, f, v)),
+        Flag::on(LSSVM, "-T, --threads threads",
+                 "openmp or sparse thread count, all cores when not given")
+            .needs(|a| matches!(&*a.backend_name, "openmp" | "sparse"),
+                   "-T requires --backend openmp or sparse")
+            .action(|a, f, v| some(&mut a.threads, f, v)),
+        Flag::on(LSSVM, "--cpu-tile t",
+                 "openmp cache tile, 'R', 'RxC' or 'RxC,nosym' (default 64x64)")
+            .needs(|a| a.backend_name == "openmp", "--cpu-tile requires --backend openmp")
+            .action(|a, _, v| put(&mut a.cpu_tile, Some(parse_cpu_tile(v)?))),
+        Flag::on(LSSVM, "--hardware hw",
+                 "a100 | v100 | p100 | gtx1080ti | rtx3080 | radeonvii | p630 (default a100)")
+            .needs(device, "--hardware requires a device backend (-b cuda|opencl|sycl|dpcpp)")
+            .action(|a, f, v| set(&mut a.hardware, f, v)),
+        Flag::on(LSSVM, "--split mode",
+                 "features (linear only) | rows (any kernel) (default features)")
+            .needs(device, "--split requires a device backend (-b cuda|opencl|sycl|dpcpp)")
+            .action(|a, f, v| pick(&mut a.row_split, f, v, &[("features", false), ("rows", true)])),
+        Flag::on(BINARY | SVR, "--metrics-out f", "write solver telemetry as JSON lines")
+            .action(|a, f, v| some(&mut a.metrics_out, f, v)),
+        Flag::on(LSSVM, "--fault-plan p",
+                 "inject device faults, e.g. 'fail:1@4;transient:0@2x2;slow:2@0x4'\n\
+                  or 'seed:N' for a random plan")
+            .needs(device, "--fault-plan requires a device backend (-b cuda|opencl|sycl|dpcpp)")
+            .action(|a, f, v| some(&mut a.fault_spec, f, v)),
+        Flag::on(LSSVM, "--checkpoint-every k",
+                 "snapshot CG state every k iterations\n\
+                  (defaults to 50 when --checkpoint-dir is set)")
+            .action(|a, f, v| positive(&mut a.checkpoint_every, f, v)),
+        Flag::on(BINARY | SVR | MULTI, "--checkpoint-dir d",
+                 "durable on-disk checkpoint journal; an interrupted run\n\
+                  can be continued with --resume")
+            .action(|a, f, v| some(&mut a.checkpoint_dir, f, v)),
+        Flag::on(BINARY | SVR | MULTI, "--resume",
+                 "continue from the newest loadable checkpoint in --checkpoint-dir")
+            .needs(|a| a.checkpoint_dir.is_some(), "--resume requires --checkpoint-dir")
+            .action(|a, _, _| put(&mut a.resume, true)),
+        Flag::on(LSSVM, "--solver s",
+                 "exact | lowrank randomized Nystrom solver\n\
+                  (incompatible with --resume; requires --rank) (default exact)")
+            .needs(|a| a.algorithm == Algorithm::LsSvm && a.rank.is_some(),
+                   "--solver lowrank requires --rank and the lssvm algorithm")
+            .action(|a, f, v| pick(&mut a.lowrank, f, v, &[("exact", false), ("lowrank", true)])),
+        Flag::on(LSSVM, "--rank k",
+                 "number of Nystrom landmarks for --solver lowrank\n(clamped to the system size)")
+            .needs(|a| a.lowrank, "--rank requires --solver lowrank")
+            .action(|a, f, v| positive(&mut a.rank, f, v)),
+        Flag::on(LSSVM, "--lowrank-seed n", "landmark sampling seed, deterministic (default 42)")
+            .needs(|a| a.lowrank, "--lowrank-seed requires --solver lowrank")
+            .action(|a, f, v| set(&mut a.lowrank_seed, f, v)),
+        Flag::on(LSSVM, "--landmarks s", "uniform | leverage landmark selection (default uniform)")
+            .needs(|a| a.lowrank, "--landmarks requires --solver lowrank")
+            .action(|a, _, v| put(&mut a.landmarks, v.parse().map_err(err)?)),
+        Flag::on(LSSVM, "--on-nonconverged a",
+                 "error | warn | accept a solve that missed epsilon (default warn)")
+            .action(|a, f, v| {
+                use NonConvergedAction::*;
+                let choices = [("error", Error), ("warn", Warn), ("accept", Accept)];
+                pick(&mut a.on_nonconverged, f, v, &choices)
+            }),
+        Flag::on(ALL & !CV, "--io-faults p",
+                 "inject deterministic storage faults into every durable write\n\
+                  (model, checkpoint journal, metrics), e.g.\n\
+                  'enospc:write@3;eio:sync@1~journal!' or 'seed:N'")
+            .action(|a, _, v| match IoFaultPlan::parse(v) {
+                Ok(plan) => put(&mut a.io_faults, Some(plan)),
+                Err(e) => Err(err(format!("invalid --io-faults spec '{v}': {e}"))),
+            }),
+        Flag::on(BINARY | SVR | MULTI, "--on-io-degraded a",
+                 "error | warn when the checkpoint journal\n\
+                  degrades mid-run (persistent write failures) (default warn)")
+            .action(|a, f, v| {
+                use IoDegradedAction::*;
+                pick(&mut a.on_io_degraded, f, v, &[("error", Error), ("warn", Warn)])
+            }),
+        Flag::on(ALL, "-q, --quiet", "suppress the training summary")
+            .needs(|a| !a.verbose, "-q and --verbose are mutually exclusive")
+            .action(|a, _, _| put(&mut a.quiet, true)),
+        Flag::on(LSSVM, "--verbose", "append per-kernel telemetry counters to the summary")
+            .action(|a, _, _| put(&mut a.verbose, true)),
+    ],
+    footer: "input files: LIBSVM format, or ARFF when the extension is .arff\n\
+             exit codes: 0 success, 1 runtime error, 2 usage error,\n\
+             \x20           3 non-converged under --on-nonconverged error,\n\
+             \x20           4 storage failure (final write failed after retries, or\n\
+             \x20           degraded journal under --on-io-degraded error)",
+};
+
+/// Parses `svm-train` arguments. No arguments, `--help`, or a `-h` that
+/// is not LIBSVM's shrinking flag (`-h 0` / `-h 1`) ask for the usage text.
 pub fn parse_train(args: &[String]) -> Result<TrainArgs, CliError> {
-    let mut out = TrainArgs {
-        svm_type: 0,
-        cv_folds: None,
-        multiclass: McStrategy::Ovo,
-        kernel_type: 0,
-        degree: 3,
-        gamma: None,
-        coef0: 0.0,
-        cost: 1.0,
-        epsilon: 1e-3,
-        label_weights: Vec::new(),
-        shrinking: true,
-        cache_mb: 100,
-        algorithm: Algorithm::LsSvm,
-        backend: BackendSelection::default(),
-        metrics_out: None,
-        fault_plan: None,
-        checkpoint_every: None,
-        checkpoint_dir: None,
-        resume: false,
-        on_nonconverged: NonConvergedAction::Warn,
-        io_faults: None,
-        on_io_degraded: IoDegradedAction::Warn,
-        solver: SolverSelection::Exact,
-        quiet: false,
-        verbose: false,
-        input: String::new(),
-        model: String::new(),
-    };
-    let mut fault_spec: Option<String> = None;
-    let mut solver_name = "exact".to_owned();
-    let mut rank: Option<usize> = None;
-    let mut lowrank_seed: u64 = DEFAULT_SEED;
-    let mut landmarks = LandmarkStrategy::Uniform;
-    let mut backend_name = "openmp".to_owned();
-    let mut devices = 1usize;
-    let mut row_split = false;
-    let mut threads: Option<usize> = None;
-    let mut cpu_tile: Option<CpuTilingConfig> = None;
-    let mut hardware = "a100".to_owned();
-    let mut positional = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(|s| s.to_owned())
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match arg.as_str() {
-            "-s" => out.svm_type = parse_num(&take("-s")?, "-s")?,
-            "-v" => out.cv_folds = Some(parse_num(&take("-v")?, "-v")?),
-            "--multiclass" => {
-                out.multiclass = match take("--multiclass")?.as_str() {
-                    "ovo" => McStrategy::Ovo,
-                    "ovr" => McStrategy::Ovr,
-                    other => return Err(err(format!("unknown multiclass strategy '{other}'"))),
-                }
-            }
-            "-t" => out.kernel_type = parse_num(&take("-t")?, "-t")?,
-            "-d" => out.degree = parse_num(&take("-d")?, "-d")?,
-            "-g" => out.gamma = Some(parse_num(&take("-g")?, "-g")?),
-            "-r" => out.coef0 = parse_num(&take("-r")?, "-r")?,
-            "-c" => out.cost = parse_num(&take("-c")?, "-c")?,
-            "-e" => out.epsilon = parse_num(&take("-e")?, "-e")?,
-            "-h" => {
-                let v: u8 = parse_num(&take("-h")?, "-h")?;
-                out.shrinking = v != 0;
-            }
-            "-m" => out.cache_mb = parse_num(&take("-m")?, "-m")?,
-            w if w.starts_with("-w") && w.len() > 2 && w[2..].parse::<i32>().is_ok() => {
-                let label: i32 = w[2..].parse().unwrap();
-                let weight: f64 = parse_num(&take(w)?, w)?;
-                if weight <= 0.0 {
-                    return Err(err(format!("weight for label {label} must be positive")));
-                }
-                out.label_weights.push((label, weight));
-            }
-            "-a" | "--algorithm" => {
-                out.algorithm = match take("-a")?.as_str() {
-                    "lssvm" => Algorithm::LsSvm,
-                    "smo" => Algorithm::Smo,
-                    "smo-dense" => Algorithm::SmoDense,
-                    "thunder" => Algorithm::Thunder,
-                    other => return Err(err(format!("unknown algorithm '{other}'"))),
-                }
-            }
-            "-b" | "--backend" => backend_name = take("--backend")?,
-            "-n" | "--devices" => devices = parse_num(&take("--devices")?, "--devices")?,
-            "-T" | "--threads" => threads = Some(parse_num(&take("--threads")?, "--threads")?),
-            "--cpu-tile" => cpu_tile = Some(parse_cpu_tile(&take("--cpu-tile")?)?),
-            "--metrics-out" => out.metrics_out = Some(take("--metrics-out")?),
-            "--fault-plan" => fault_spec = Some(take("--fault-plan")?),
-            "--checkpoint-every" => {
-                let k: usize = parse_num(&take("--checkpoint-every")?, "--checkpoint-every")?;
-                if k == 0 {
-                    return Err(err("--checkpoint-every must be at least 1"));
-                }
-                out.checkpoint_every = Some(k);
-            }
-            "--checkpoint-dir" => out.checkpoint_dir = Some(take("--checkpoint-dir")?),
-            "--resume" => out.resume = true,
-            "--solver" => solver_name = take("--solver")?,
-            "--rank" => {
-                let k: usize = parse_num(&take("--rank")?, "--rank")?;
-                if k == 0 {
-                    return Err(err("--rank must be at least 1"));
-                }
-                rank = Some(k);
-            }
-            "--lowrank-seed" => {
-                lowrank_seed = parse_num(&take("--lowrank-seed")?, "--lowrank-seed")?
-            }
-            "--landmarks" => {
-                landmarks = take("--landmarks")?.parse().map_err(err)?;
-            }
-            "--on-nonconverged" => {
-                out.on_nonconverged = match take("--on-nonconverged")?.as_str() {
-                    "error" => NonConvergedAction::Error,
-                    "warn" => NonConvergedAction::Warn,
-                    "accept" => NonConvergedAction::Accept,
-                    other => {
-                        return Err(err(format!(
-                            "unknown --on-nonconverged action '{other}' \
-                             (expected error, warn or accept)"
-                        )))
-                    }
-                }
-            }
-            "--io-faults" => {
-                let spec = take("--io-faults")?;
-                out.io_faults = Some(
-                    IoFaultPlan::parse(&spec)
-                        .map_err(|e| err(format!("invalid --io-faults spec '{spec}': {e}")))?,
-                );
-            }
-            "--on-io-degraded" => {
-                out.on_io_degraded = match take("--on-io-degraded")?.as_str() {
-                    "error" => IoDegradedAction::Error,
-                    "warn" => IoDegradedAction::Warn,
-                    other => {
-                        return Err(err(format!(
-                            "unknown --on-io-degraded action '{other}' (expected error or warn)"
-                        )))
-                    }
-                }
-            }
-            "-q" | "--quiet" => out.quiet = true,
-            "--verbose" => out.verbose = true,
-            "--hardware" => hardware = take("--hardware")?,
-            "--split" => {
-                row_split = match take("--split")?.as_str() {
-                    "rows" => true,
-                    "features" => false,
-                    other => return Err(err(format!("unknown split '{other}'"))),
-                }
-            }
-            flag if flag.starts_with('-')
-                && flag.len() > 1
-                && !flag[1..2].chars().next().unwrap().is_ascii_digit() =>
-            {
-                return Err(err(format!("unknown option '{flag}'")))
-            }
-            _ => positional.push(arg.clone()),
-        }
+    if args.last().is_none_or(|last| last == "-h") {
+        return Err(err(""));
     }
-
-    match positional.len() {
-        0 => return Err(err("missing training_set_file")),
-        1 => {
-            out.input = positional[0].clone();
-            out.model = format!("{}.model", positional[0]);
-        }
-        2 => {
-            out.input = positional[0].clone();
-            out.model = positional[1].clone();
-        }
+    let (mut out, operands, given) = TRAIN.parse(args)?;
+    out.given = given;
+    (out.input, out.model) = match &operands[..] {
+        [] => return Err(err("missing training_set_file")),
+        [input] => (input.clone(), format!("{input}.model")),
+        [input, model] => (input.clone(), model.clone()),
         _ => return Err(err("too many positional arguments")),
-    }
-    if out.kernel_type > 3 {
-        return Err(err(
-            "kernel type must be 0 (linear), 1 (polynomial), 2 (rbf) or 3 (sigmoid)",
-        ));
-    }
-    if out.svm_type != 0 && out.svm_type != 3 {
-        return Err(err("svm type must be 0 (c_svc) or 3 (epsilon_svr)"));
-    }
-    if let Some(v) = out.cv_folds {
-        if v < 2 {
-            return Err(err("cross validation needs at least 2 folds"));
-        }
-    }
-    if out.quiet && out.verbose {
-        return Err(err("-q and --verbose are mutually exclusive"));
-    }
-    if out.resume && out.checkpoint_dir.is_none() {
-        return Err(err("--resume requires --checkpoint-dir"));
-    }
-    if out.checkpoint_dir.is_some() && out.checkpoint_every.is_none() {
-        out.checkpoint_every = Some(50);
-    }
-    out.solver = match solver_name.as_str() {
-        "exact" => {
-            if rank.is_some() {
-                return Err(err("--rank requires --solver lowrank"));
-            }
-            SolverSelection::Exact
-        }
-        "lowrank" => {
-            let rank = rank.ok_or_else(|| err("--solver lowrank requires --rank"))?;
-            if out.resume {
-                // the checkpoint journal streams exact-CG state only
-                return Err(err("--resume is not supported with --solver lowrank \
-                     (the checkpoint journal streams exact-CG state only)"));
-            }
-            if out.algorithm != Algorithm::LsSvm {
-                return Err(err("--solver lowrank requires the lssvm algorithm"));
-            }
-            SolverSelection::LowRank {
-                rank,
-                seed: lowrank_seed,
-                strategy: landmarks,
-            }
-        }
-        other => return Err(err(format!("unknown solver '{other}'"))),
     };
-
-    if cpu_tile.is_some() && backend_name != "openmp" {
-        return Err(err("--cpu-tile requires --backend openmp"));
+    out.checkpoint_every = out
+        .checkpoint_every
+        .or(out.checkpoint_dir.as_ref().map(|_| 50));
+    if out.lowrank {
+        if out.resume {
+            return Err(err("--resume is not supported with --solver lowrank \
+                 (the checkpoint journal streams exact-CG state only)"));
+        }
+        out.solver = SolverSelection::LowRank {
+            rank: out.rank.expect("the --solver row needs --rank"),
+            seed: out.lowrank_seed,
+            strategy: out.landmarks,
+        };
     }
-    out.backend = match backend_name.as_str() {
+    let threads = out.threads;
+    out.backend = match out.backend_name.as_str() {
         "serial" => BackendSelection::Serial,
         "openmp" => BackendSelection::OpenMp {
             threads,
-            tiling: cpu_tile.unwrap_or_default(),
+            tiling: out.cpu_tile.unwrap_or_default(),
         },
         "sparse" => BackendSelection::SparseCpu { threads },
-        api @ ("cuda" | "opencl" | "sycl" | "dpcpp") => {
-            let api = match api {
+        name => {
+            let api = match name {
                 "cuda" => DeviceApi::Cuda,
                 "opencl" => DeviceApi::OpenCl,
                 "sycl" => DeviceApi::SyclHip,
-                _ => DeviceApi::SyclDpcpp,
+                "dpcpp" => DeviceApi::SyclDpcpp,
+                other => return Err(err(format!("unknown backend '{other}'"))),
             };
-            let spec = lookup_hardware(&hardware)?;
-            if row_split {
-                BackendSelection::SimGpuRows {
-                    hardware: spec,
-                    api,
-                    devices,
-                    tiling: TilingConfig::default(),
-                }
-            } else {
-                BackendSelection::SimGpu {
-                    hardware: spec,
-                    api,
-                    devices,
-                    tiling: TilingConfig::default(),
-                }
-            }
+            let split = match out.row_split {
+                true => BackendSelection::sim_multi_gpu_rows,
+                false => BackendSelection::sim_multi_gpu,
+            };
+            split(lookup_hardware(&out.hardware)?, api, out.devices)
         }
-        other => return Err(err(format!("unknown backend '{other}'"))),
     };
-    if let Some(spec) = fault_spec {
-        let simulated = matches!(
-            out.backend,
-            BackendSelection::SimGpu { .. } | BackendSelection::SimGpuRows { .. }
-        );
-        if !simulated {
-            return Err(err(
-                "--fault-plan requires a simulated device backend (cuda, opencl, sycl or dpcpp)",
-            ));
-        }
+    if let Some(spec) = &out.fault_spec {
         let plan = match spec.strip_prefix("seed:") {
             Some(seed) => {
-                let seed: u64 = parse_num(seed.trim(), "--fault-plan seed")?;
-                FaultPlan::seeded(seed, devices, 32)
+                FaultPlan::seeded(num(seed.trim(), "--fault-plan seed")?, out.devices, 32)
             }
-            None => FaultPlan::parse(&spec).map_err(err)?,
+            None => FaultPlan::parse(spec).map_err(err)?,
         };
-        if plan.max_device().is_some_and(|d| d >= devices) {
+        if let Some(max) = plan.max_device().filter(|&max| max >= out.devices) {
             return Err(err(format!(
-                "--fault-plan addresses device {} but only {devices} device(s) are configured",
-                plan.max_device().unwrap()
+                "--fault-plan addresses device {max} but only {} device(s) are configured",
+                out.devices
             )));
         }
         out.fault_plan = Some(plan);
@@ -457,10 +628,8 @@ impl TrainArgs {
     pub fn weight_of(&self, label: i32) -> f64 {
         self.label_weights
             .iter()
-            .rev()
-            .find(|(l, _)| *l == label)
-            .map(|(_, w)| *w)
-            .unwrap_or(1.0)
+            .rfind(|(l, _)| *l == label)
+            .map_or(1.0, |&(_, w)| w)
     }
 }
 
@@ -498,9 +667,25 @@ pub fn kernel_from_args(args: &TrainArgs, num_features: usize) -> KernelSpec<f64
     }
 }
 
+/// Parses the `--cpu-tile` spec: `R` (square tile), `RxC`, with an optional
+/// `,nosym` suffix that disables the symmetric schedule.
+fn parse_cpu_tile(spec: &str) -> Result<CpuTilingConfig, CliError> {
+    let (dims, symmetry) = spec
+        .strip_suffix(",nosym")
+        .map_or((spec, true), |d| (d, false));
+    let (row, col) = dims.split_once('x').unwrap_or((dims, dims));
+    let tiling = CpuTilingConfig::new(num(row, "--cpu-tile")?, num(col, "--cpu-tile")?);
+    let tiling = tiling.with_symmetry(symmetry);
+    let invalid = |e| err(format!("invalid --cpu-tile '{spec}': {e}"));
+    tiling.validate().map_err(invalid).map(|()| tiling)
+}
+
+/// The exit-code line of every binary but `svm-train`.
+const EXIT_CODES: &str = "exit codes: 0 success, 1 runtime error, 2 usage error";
+
 /// Parsed `svm-predict` invocation:
 /// `svm-predict [options] test_file model_file output_file`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PredictArgs {
     /// Test data file (labels used for the accuracy report).
     pub test: String,
@@ -508,8 +693,7 @@ pub struct PredictArgs {
     pub model: String,
     /// Output file, one predicted label per line.
     pub output: String,
-    /// Write prediction telemetry as JSON lines to this file
-    /// (`--metrics-out`).
+    /// Prediction telemetry JSON-lines file (`--metrics-out`).
     pub metrics_out: Option<String>,
     /// Suppress informational output (`-q` / `--quiet`).
     pub quiet: bool,
@@ -517,55 +701,48 @@ pub struct PredictArgs {
     pub verbose: bool,
 }
 
+static PREDICT: Cli<PredictArgs> = Cli {
+    name: "svm-predict",
+    operands: "test_file model_file output_file",
+    flags: &[
+        Flag::of(
+            "--metrics-out file",
+            "write prediction telemetry as JSON lines",
+        )
+        .action(|a, f, v| some(&mut a.metrics_out, f, v)),
+        Flag::of("-q, --quiet", "suppress the accuracy report")
+            .needs(
+                |a: &PredictArgs| !a.verbose,
+                "-q and --verbose are mutually exclusive",
+            )
+            .action(|a, _, _| put(&mut a.quiet, true)),
+        Flag::of(
+            "--verbose",
+            "append the SIMD tier and the prediction wall time",
+        )
+        .action(|a, _, _| put(&mut a.verbose, true)),
+    ],
+    footer: EXIT_CODES,
+};
+
 /// Parses `svm-predict` arguments.
 pub fn parse_predict(args: &[String]) -> Result<PredictArgs, CliError> {
-    let mut metrics_out = None;
-    let mut quiet = false;
-    let mut verbose = false;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--metrics-out" => {
-                metrics_out = Some(
-                    it.next()
-                        .map(|s| s.to_owned())
-                        .ok_or_else(|| err("missing value for --metrics-out"))?,
-                )
-            }
-            "-q" | "--quiet" => quiet = true,
-            "--verbose" => verbose = true,
-            flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(err(format!("unknown option '{flag}'")))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    if quiet && verbose {
-        return Err(err("-q and --verbose are mutually exclusive"));
-    }
-    if positional.len() != 3 {
-        return Err(err(format!(
-            "expected 3 positional arguments (test_file model_file output_file), got {}",
-            positional.len()
-        )));
-    }
-    Ok(PredictArgs {
-        test: positional[0].clone(),
-        model: positional[1].clone(),
-        output: positional[2].clone(),
-        metrics_out,
-        quiet,
-        verbose,
-    })
+    let (mut out, operands, _) = PREDICT.parse(args)?;
+    [out.test, out.model, out.output] = operands.try_into().map_err(|o: Vec<_>| {
+        let got = o.len();
+        err(format!(
+            "expected 3 positional arguments (test_file model_file output_file), got {got}"
+        ))
+    })?;
+    Ok(out)
 }
 
 /// Parsed `svm-scale` invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScaleArgs {
-    /// Target lower bound (`-l`, default −1).
+    /// Target lower bound (`-l`).
     pub lower: f64,
-    /// Target upper bound (`-u`, default +1).
+    /// Target upper bound (`-u`).
     pub upper: f64,
     /// Write fitted ranges to this file (`-s`).
     pub save: Option<String>,
@@ -575,150 +752,125 @@ pub struct ScaleArgs {
     pub input: String,
 }
 
+static SCALE: Cli<ScaleArgs> = Cli {
+    name: "svm-scale",
+    operands: "data_file",
+    flags: &[
+        Flag::of("-l lower", "target lower bound (default -1)")
+            .action(|a, f, v| set(&mut a.lower, f, v)),
+        Flag::of("-u upper", "target upper bound (default 1)")
+            .action(|a, f, v| set(&mut a.upper, f, v)),
+        Flag::of("-s save_file", "write the fitted ranges to this file")
+            .needs(
+                |a: &ScaleArgs| a.restore.is_none(),
+                "-s and -r are mutually exclusive",
+            )
+            .action(|a, f, v| some(&mut a.save, f, v)),
+        Flag::of(
+            "-r restore_file",
+            "restore the ranges from this file instead of fitting",
+        )
+        .action(|a, f, v| some(&mut a.restore, f, v)),
+    ],
+    footer: EXIT_CODES,
+};
+
 /// Parses `svm-scale` arguments.
 pub fn parse_scale(args: &[String]) -> Result<ScaleArgs, CliError> {
-    let mut out = ScaleArgs {
-        lower: -1.0,
-        upper: 1.0,
-        save: None,
-        restore: None,
-        input: String::new(),
-    };
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(|s| s.to_owned())
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match arg.as_str() {
-            "-l" => out.lower = parse_num(&take("-l")?, "-l")?,
-            "-u" => out.upper = parse_num(&take("-u")?, "-u")?,
-            "-s" => out.save = Some(take("-s")?),
-            "-r" => out.restore = Some(take("-r")?),
-            flag if flag.starts_with('-')
-                && flag.len() > 1
-                && !flag[1..2].chars().next().unwrap().is_ascii_digit() =>
-            {
-                return Err(err(format!("unknown option '{flag}'")))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    if positional.len() != 1 {
-        return Err(err("usage: svm-scale [options] data_file"));
-    }
-    if out.save.is_some() && out.restore.is_some() {
-        return Err(err("-s and -r are mutually exclusive"));
-    }
-    out.input = positional[0].clone();
+    let (mut out, operands, _) = SCALE.parse(args)?;
+    [out.input] = operands.try_into().map_err(|o: Vec<_>| {
+        err(format!(
+            "expected 1 positional argument (data_file), got {}",
+            o.len()
+        ))
+    })?;
     Ok(out)
 }
 
 /// Parsed `svm-serve` invocation: `svm-serve [options] model_file`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeArgs {
-    /// Model file to serve (anything `svm-train` writes: binary,
-    /// multiclass container, or epsilon-SVR).
+    /// Model file to serve (anything `svm-train` writes).
     pub model: String,
     /// TCP listen address (`--listen host:port`); `None` = stdin mode.
     pub listen: Option<String>,
-    /// Largest micro-batch the engine predicts in one call
-    /// (`--max-batch`).
+    /// Largest micro-batch the engine predicts in one call (`--max-batch`).
     pub max_batch: usize,
-    /// Write serve telemetry as JSON lines to this file
-    /// (`--metrics-out`): request/batch/queue/reload statistics.
+    /// Serve telemetry JSON-lines file (`--metrics-out`).
     pub metrics_out: Option<String>,
-    /// Poll the model file for hot reload every this many milliseconds
-    /// (`--reload-poll-ms`); 0 disables watching.
+    /// Hot-reload poll interval in ms (`--reload-poll-ms`); 0 = off.
     pub reload_poll_ms: u64,
-    /// Maximum concurrent TCP connections (`--max-connections`); excess
-    /// connections get one structured refusal line. 0 = unlimited.
+    /// Concurrent TCP connections (`--max-connections`); 0 = unlimited.
     pub max_connections: usize,
-    /// Shed requests with `overloaded` once this many are queued
-    /// (`--queue-watermark`); 0 disables shedding.
+    /// Queued requests before shedding (`--queue-watermark`); 0 = off.
     pub queue_watermark: usize,
-    /// Answer `deadline_exceeded` to requests queued longer than this
-    /// many microseconds (`--deadline-us`); 0 disables deadlines.
+    /// Queueing deadline per request in µs (`--deadline-us`); 0 = off.
     pub deadline_us: u64,
-    /// Per-line read budget in milliseconds (`--client-timeout-ms`): a
-    /// client stalling mid-line longer than this is answered
-    /// `client_timeout` and disconnected. 0 disables.
+    /// Per-line read budget in ms (`--client-timeout-ms`); 0 = off.
     pub client_timeout_ms: u64,
     /// Suppress informational output on stderr (`-q` / `--quiet`).
     pub quiet: bool,
 }
 
+static SERVE: Cli<ServeArgs> = Cli {
+    name: "svm-serve",
+    operands: "model_file",
+    flags: &[
+        Flag::of("--stdin", "serve request lines from stdin (the default)").needs(
+            |a| a.listen.is_none(),
+            "--stdin and --listen are mutually exclusive",
+        ),
+        Flag::of("--listen host:port", "serve over TCP instead of stdin")
+            .action(|a, f, v| some(&mut a.listen, f, v)),
+        Flag::of("--max-batch n", "largest micro-batch (default 64)")
+            .action(|a, f, v| positive(&mut a.max_batch, f, v)),
+        Flag::of(
+            "--max-connections n",
+            "concurrent TCP connections, 0 = unlimited (default 256)",
+        )
+        .action(|a, f, v| set(&mut a.max_connections, f, v)),
+        Flag::of(
+            "--queue-watermark n",
+            "queued requests before shedding, 0 = off (default 1024)",
+        )
+        .action(|a, f, v| set(&mut a.queue_watermark, f, v)),
+        Flag::of(
+            "--deadline-us n",
+            "queueing deadline per request, 0 = off (default 0)",
+        )
+        .action(|a, f, v| set(&mut a.deadline_us, f, v)),
+        Flag::of(
+            "--client-timeout-ms n",
+            "per-line read budget, 0 = off (default 10000)",
+        )
+        .action(|a, f, v| set(&mut a.client_timeout_ms, f, v)),
+        Flag::of(
+            "--reload-poll-ms n",
+            "model file poll interval, 0 = off (default 200)",
+        )
+        .action(|a, f, v| set(&mut a.reload_poll_ms, f, v)),
+        Flag::of("--metrics-out file", "write serve telemetry as JSON lines")
+            .action(|a, f, v| some(&mut a.metrics_out, f, v)),
+        Flag::of("-q, --quiet", "suppress the status lines on stderr")
+            .action(|a, _, _| put(&mut a.quiet, true)),
+    ],
+    footer: EXIT_CODES,
+};
+
 /// Parses `svm-serve` arguments.
 pub fn parse_serve(args: &[String]) -> Result<ServeArgs, CliError> {
-    let mut out = ServeArgs {
-        model: String::new(),
-        listen: None,
-        max_batch: 64,
-        metrics_out: None,
-        reload_poll_ms: 200,
-        max_connections: 256,
-        queue_watermark: 1_024,
-        deadline_us: 0,
-        client_timeout_ms: 10_000,
-        quiet: false,
-    };
-    let mut stdin_explicit = false;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(|s| s.to_owned())
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match arg.as_str() {
-            "--listen" => out.listen = Some(take("--listen")?),
-            "--stdin" => stdin_explicit = true,
-            "--max-batch" => out.max_batch = parse_num(&take("--max-batch")?, "--max-batch")?,
-            "--metrics-out" => out.metrics_out = Some(take("--metrics-out")?),
-            "--reload-poll-ms" => {
-                out.reload_poll_ms = parse_num(&take("--reload-poll-ms")?, "--reload-poll-ms")?
-            }
-            "--max-connections" => {
-                out.max_connections = parse_num(&take("--max-connections")?, "--max-connections")?
-            }
-            "--queue-watermark" => {
-                out.queue_watermark = parse_num(&take("--queue-watermark")?, "--queue-watermark")?
-            }
-            "--deadline-us" => {
-                out.deadline_us = parse_num(&take("--deadline-us")?, "--deadline-us")?
-            }
-            "--client-timeout-ms" => {
-                out.client_timeout_ms =
-                    parse_num(&take("--client-timeout-ms")?, "--client-timeout-ms")?
-            }
-            "-q" | "--quiet" => out.quiet = true,
-            flag if flag.starts_with('-') && flag.len() > 1 => {
-                return Err(err(format!("unknown option '{flag}'")))
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    if stdin_explicit && out.listen.is_some() {
-        return Err(err("--stdin and --listen are mutually exclusive"));
-    }
-    if out.max_batch == 0 {
-        return Err(err("--max-batch must be at least 1"));
-    }
-    if positional.len() != 1 {
-        return Err(err(format!(
+    let (mut out, operands, _) = SERVE.parse(args)?;
+    [out.model] = operands.try_into().map_err(|o: Vec<_>| {
+        err(format!(
             "expected 1 positional argument (model_file), got {}",
-            positional.len()
-        )));
-    }
-    out.model = positional[0].clone();
+            o.len()
+        ))
+    })?;
     Ok(out)
 }
 
 /// Parsed `generate-data` invocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GenerateArgs {
     /// Number of data points.
     pub points: usize,
@@ -738,42 +890,48 @@ pub struct GenerateArgs {
     pub output: String,
 }
 
+fn planes(a: &GenerateArgs) -> bool {
+    !a.sat6
+}
+
+static GENERATE: Cli<GenerateArgs> = Cli {
+    name: "generate-data",
+    operands: "-o FILE",
+    flags: &[
+        Flag::of("-p, --points N", "number of data points (default 1024)")
+            .action(|a, f, v| set(&mut a.points, f, v)),
+        Flag::of("-f, --features D", "number of planes features (default 16)")
+            .needs(
+                planes,
+                "--features requires the planes problem (not --sat6)",
+            )
+            .action(|a, f, v| set(&mut a.features, f, v)),
+        Flag::of("-s, --seed S", "random seed (default 42)")
+            .action(|a, f, v| set(&mut a.seed, f, v)),
+        Flag::of("--sep X", "planes cluster separation (default 2)")
+            .needs(planes, "--sep requires the planes problem (not --sat6)")
+            .action(|a, f, v| set(&mut a.cluster_sep, f, v)),
+        Flag::of("--flip F", "planes label flip fraction (default 0.01)")
+            .needs(planes, "--flip requires the planes problem (not --sat6)")
+            .action(|a, f, v| set(&mut a.flip, f, v)),
+        Flag::of(
+            "--sat6",
+            "generate the SAT-6-like image set (28x28x4) instead of planes",
+        )
+        .action(|a, _, _| put(&mut a.sat6, true)),
+        Flag::of("--format fmt", "libsvm | arff (default libsvm)")
+            .action(|a, f, v| pick(&mut a.arff, f, v, &[("libsvm", false), ("arff", true)])),
+        Flag::of("-o, --output FILE", "output file (required)")
+            .action(|a, f, v| set(&mut a.output, f, v)),
+    ],
+    footer: EXIT_CODES,
+};
+
 /// Parses `generate-data` arguments.
 pub fn parse_generate(args: &[String]) -> Result<GenerateArgs, CliError> {
-    let mut out = GenerateArgs {
-        points: 1024,
-        features: 16,
-        seed: 42,
-        cluster_sep: 2.0,
-        flip: 0.01,
-        sat6: false,
-        arff: false,
-        output: String::new(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut take = |name: &str| {
-            it.next()
-                .map(|s| s.to_owned())
-                .ok_or_else(|| err(format!("missing value for {name}")))
-        };
-        match arg.as_str() {
-            "--points" | "-p" => out.points = parse_num(&take("--points")?, "--points")?,
-            "--features" | "-f" => out.features = parse_num(&take("--features")?, "--features")?,
-            "--seed" | "-s" => out.seed = parse_num(&take("--seed")?, "--seed")?,
-            "--sep" => out.cluster_sep = parse_num(&take("--sep")?, "--sep")?,
-            "--flip" => out.flip = parse_num(&take("--flip")?, "--flip")?,
-            "--sat6" => out.sat6 = true,
-            "--format" => {
-                out.arff = match take("--format")?.as_str() {
-                    "arff" => true,
-                    "libsvm" => false,
-                    other => return Err(err(format!("unknown format '{other}'"))),
-                }
-            }
-            "-o" | "--output" => out.output = take("--output")?,
-            other => return Err(err(format!("unknown option '{other}'"))),
-        }
+    let (out, operands, _) = GENERATE.parse(args)?;
+    if let Some(extra) = operands.first() {
+        return Err(err(format!("unexpected argument '{extra}'")));
     }
     if out.output.is_empty() {
         return Err(err("missing -o output file"));
@@ -781,33 +939,69 @@ pub fn parse_generate(args: &[String]) -> Result<GenerateArgs, CliError> {
     Ok(out)
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, CliError> {
-    s.parse()
-        .map_err(|_| err(format!("invalid value '{s}' for {flag}")))
+/// `svm-train`'s `main`.
+pub fn train_main() -> ExitCode {
+    drive(&TRAIN, parse_train, run_train)
 }
 
-/// Parses the `--cpu-tile` spec: `R` (square tile), `RxC`, with an optional
-/// `,nosym` suffix that disables the symmetric schedule.
-fn parse_cpu_tile(spec: &str) -> Result<CpuTilingConfig, CliError> {
-    let (dims, symmetry) = match spec.strip_suffix(",nosym") {
-        Some(rest) => (rest, false),
-        None => (spec, true),
-    };
-    let (row, col) = match dims.split_once('x') {
-        Some((r, c)) => (
-            parse_num::<usize>(r, "--cpu-tile")?,
-            parse_num::<usize>(c, "--cpu-tile")?,
-        ),
-        None => {
-            let r = parse_num::<usize>(dims, "--cpu-tile")?;
-            (r, r)
+/// `svm-predict`'s `main`.
+pub fn predict_main() -> ExitCode {
+    drive(&PREDICT, parse_predict, run_predict)
+}
+
+/// `svm-scale`'s `main`.
+pub fn scale_main() -> ExitCode {
+    drive(&SCALE, parse_scale, run_scale)
+}
+
+/// `svm-serve`'s `main`.
+pub fn serve_main() -> ExitCode {
+    drive(&SERVE, parse_serve, |a| {
+        run_serve(a).map(|()| String::new())
+    })
+}
+
+/// `generate-data`'s `main`.
+pub fn generate_main() -> ExitCode {
+    drive(&GENERATE, parse_generate, run_generate)
+}
+
+/// Runs one binary on the process arguments. A usage error prints the
+/// error and the usage text and exits 2; `--help` prints the usage text
+/// and exits 2. A runtime error prints the error alone and exits 1, or 3
+/// for a non-converged solve under `--on-nonconverged error` and 4 for a
+/// storage failure. Each binary instantiates only its own parser and
+/// command, so it links only their code.
+fn drive<A: Default, T>(
+    cli: &Cli<A>,
+    parse: fn(&[String]) -> Result<T, CliError>,
+    run: fn(&T) -> Result<String, Box<dyn Error>>,
+) -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(CliError(e)) => {
+            match e.as_str() {
+                "" => eprintln!("{}", cli.usage()),
+                e => eprintln!("{}: {e}\n{}", cli.name, cli.usage()),
+            }
+            return ExitCode::from(2);
         }
     };
-    let tiling = CpuTilingConfig::new(row, col).with_symmetry(symmetry);
-    tiling
-        .validate()
-        .map_err(|e| err(format!("invalid --cpu-tile '{spec}': {e}")))?;
-    Ok(tiling)
+    match run(&parsed) {
+        Ok(out) => {
+            print!("{out}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{}: {e}", cli.name);
+            ExitCode::from(match e.downcast_ref::<SvmError>() {
+                Some(SvmError::NonConverged { .. }) => 3,
+                _ if e.is::<StorageError>() => 4,
+                _ => 1,
+            })
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1422,5 +1616,34 @@ mod tests {
         assert!(a.sat6);
         assert!(parse_generate(&sv(&["--points", "10"])).is_err()); // no -o
         assert!(parse_generate(&sv(&["--bogus", "-o", "x"])).is_err());
+    }
+
+    #[test]
+    fn backend_and_problem_scoped_flags_need_their_backend_or_problem() {
+        for flags in [
+            &["-b", "serial", "-T", "4"][..],
+            &["-b", "cuda", "-T", "4"],
+            &["-b", "openmp", "-n", "2"],
+            &["--hardware", "v100"],
+            &["--split", "rows"],
+            &["--lowrank-seed", "7"],
+            &["--landmarks", "leverage"],
+        ] {
+            let mut args = sv(flags);
+            args.push("x.dat".into());
+            let e = parse_train(&args).unwrap_err();
+            assert!(
+                e.0.contains(flags[flags.len() - 2]) && e.0.contains("requires"),
+                "{e}"
+            );
+        }
+        // restating a default is not giving the flag
+        assert!(parse_train(&sv(&["-n", "1", "--hardware", "a100", "x.dat"])).is_ok());
+        // -m must fit a byte count
+        assert!(parse_train(&sv(&["-m", "17592186044416", "x.dat"])).is_err());
+        for flag in ["--features", "--sep", "--flip"] {
+            let e = parse_generate(&sv(&["--sat6", flag, "3", "-o", "x"])).unwrap_err();
+            assert!(e.0.contains(flag) && e.0.contains("requires"), "{e}");
+        }
     }
 }

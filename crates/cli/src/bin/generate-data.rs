@@ -1,21 +1,6 @@
 //! `generate-data` — synthetic data set generator (the paper's
 //! `generate_data.py`): the "planes" problem and a SAT-6-like image set.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match plssvm_cli::args::parse_generate(&args)
-        .map_err(|e| e.to_string())
-        .and_then(|a| plssvm_cli::commands::run_generate(&a).map_err(|e| e.to_string()))
-    {
-        Ok(summary) => {
-            print!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("generate-data: {e}\nusage: generate-data --points N [--features D] [--seed S] [--sep X] [--flip F] [--sat6] -o FILE");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    plssvm_cli::generate_main()
 }

@@ -1,28 +1,5 @@
 //! `svm-predict` — LIBSVM-compatible prediction front end.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match plssvm_cli::args::parse_predict(&args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!(
-                "svm-predict: {e}\n\
-                 usage: svm-predict [options] test_file model_file output_file\n\
-                 options: --metrics-out file | -q, --quiet | --verbose"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match plssvm_cli::commands::run_predict(&parsed) {
-        Ok(summary) => {
-            print!("{summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("svm-predict: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    plssvm_cli::predict_main()
 }

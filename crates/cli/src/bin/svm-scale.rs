@@ -1,20 +1,5 @@
 //! `svm-scale` — LIBSVM-compatible feature scaling (scaled data on stdout).
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match plssvm_cli::args::parse_scale(&args)
-        .map_err(|e| e.to_string())
-        .and_then(|a| plssvm_cli::commands::run_scale(&a).map_err(|e| e.to_string()))
-    {
-        Ok(scaled) => {
-            print!("{scaled}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("svm-scale: {e}\nusage: svm-scale [-l lower] [-u upper] [-s save_file | -r restore_file] data_file");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    plssvm_cli::scale_main()
 }

@@ -15,33 +15,6 @@
 //! in-flight requests finish, new lines answer `shutting_down`, and the
 //! process exits 0 after a deterministic summary.
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match plssvm_cli::args::parse_serve(&args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!(
-                "svm-serve: {e}\n\
-                 usage: svm-serve [options] model_file\n\
-                 options: --stdin (default) | --listen host:port\n\
-                 \x20        --max-batch n (64)\n\
-                 \x20        --max-connections n (256, 0 = unlimited)\n\
-                 \x20        --queue-watermark n (1024, 0 = off)\n\
-                 \x20        --deadline-us n (0 = off)\n\
-                 \x20        --client-timeout-ms n (10000, 0 = off)\n\
-                 \x20        --reload-poll-ms n (200, 0 = off)\n\
-                 \x20        --metrics-out file | -q, --quiet"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    match plssvm_cli::commands::run_serve(&parsed) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("svm-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn main() -> std::process::ExitCode {
+    plssvm_cli::serve_main()
 }

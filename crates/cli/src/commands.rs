@@ -37,7 +37,8 @@ use plssvm_serve::{
 
 use crate::args::{
     kernel_from_args, Algorithm, GenerateArgs, IoDegradedAction, McStrategy, NonConvergedAction,
-    PredictArgs, ScaleArgs, ServeArgs, TrainArgs,
+    PredictArgs, ScaleArgs, ServeArgs, TrainArgs, BINARY, CV, MULTI, SMO_DENSE, SMO_SPARSE, SVR,
+    THUNDER, TRAIN,
 };
 
 /// A durable-storage failure that survived the retry policy. The
@@ -208,31 +209,26 @@ fn emit_telemetry(
     Ok(())
 }
 
-/// Applies the `--on-nonconverged` policy to a finished solve: `error`
-/// refuses the model with [`SvmError::NonConverged`] (the binary maps it
-/// to exit code 3), `warn` returns a warning line for the summary,
-/// `accept` stays silent. Converged solves pass through untouched.
+/// Applies the `--on-nonconverged` policy to the first solve that missed
+/// ε, given as (outcome, relative residual, iterations): `error` refuses
+/// the result with [`SvmError::NonConverged`] (the binary maps it to exit
+/// code 3), `warn` returns the `warning` line for the summary, `accept`
+/// stays silent. Without such a solve it returns no line.
 fn apply_nonconverged_policy(
     action: NonConvergedAction,
-    outcome: SolveOutcome,
-    relative_residual: f64,
-    iterations: usize,
+    first: Option<(SolveOutcome, f64, usize)>,
+    warning: impl FnOnce() -> String,
 ) -> Result<Option<String>, Box<dyn Error>> {
-    if outcome.is_converged() {
-        return Ok(None);
-    }
-    match action {
-        NonConvergedAction::Error => Err(Box::new(SvmError::NonConverged {
-            outcome,
-            relative_residual,
-            iterations,
-        })),
-        NonConvergedAction::Warn => Ok(Some(format!(
-            "WARNING: solver did not converge ({outcome}, relative residual \
-             {relative_residual:.3e} after {iterations} iterations); model accepted \
-             (--on-nonconverged warn)\n"
-        ))),
-        NonConvergedAction::Accept => Ok(None),
+    match (first, action) {
+        (Some((outcome, relative_residual, iterations)), NonConvergedAction::Error) => {
+            Err(Box::new(SvmError::NonConverged {
+                outcome,
+                relative_residual,
+                iterations,
+            }))
+        }
+        (Some(_), NonConvergedAction::Warn) => Ok(Some(warning())),
+        _ => Ok(None),
     }
 }
 
@@ -259,12 +255,25 @@ pub fn run_train(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     }
 }
 
-/// Refuses a flag that `mode` would otherwise silently ignore.
-fn refuse(given: bool, flag: &str, mode: &str) -> Result<(), Box<dyn Error>> {
-    if given {
-        return Err(format!("{flag} does not apply to {mode}").into());
+/// Refuses the first flag given on the command line whose `svm-train`
+/// table row does not list this run's mode, before any training work.
+/// The mode follows from `-s 3`, multi-class input, `-a` and `-v`, in
+/// that order.
+fn check_modes(args: &TrainArgs, multi_class: bool) -> Result<(), Box<dyn Error>> {
+    let (mode, name) = match args.algorithm {
+        _ if args.svm_type == 3 => (SVR, "regression (-s 3)"),
+        _ if multi_class => (MULTI, "multi-class input"),
+        Algorithm::LsSvm if args.cv_folds.is_some() => (CV, "cross validation"),
+        Algorithm::LsSvm => (BINARY, "binary LS-SVM"),
+        Algorithm::Smo => (SMO_SPARSE, "-a smo"),
+        Algorithm::SmoDense => (SMO_DENSE, "-a smo-dense"),
+        Algorithm::Thunder => (THUNDER, "-a thunder"),
+    };
+    let mut flags = TRAIN.flags.iter().enumerate();
+    match flags.find(|(i, flag)| args.given >> i & 1 == 1 && flag.modes & mode == 0) {
+        Some((_, flag)) => Err(format!("{} does not apply to {}", flag.name(), name).into()),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The one `TrainArgs → LsSvm` mapping that every LS-SVM and LS-SVR mode
@@ -308,12 +317,15 @@ fn finish_lssvm<M>(
     quality: impl FnOnce(&M) -> String,
 ) -> Result<String, Box<dyn Error>> {
     // --on-nonconverged error refuses the model before it is written
-    let warning = apply_nonconverged_policy(
-        args.on_nonconverged,
-        out.outcome,
-        out.relative_residual,
-        out.iterations,
-    )?;
+    let (outcome, residual, iterations) = (out.outcome, out.relative_residual, out.iterations);
+    let failed = (!outcome.is_converged()).then_some((outcome, residual, iterations));
+    let warning = apply_nonconverged_policy(args.on_nonconverged, failed, || {
+        format!(
+            "WARNING: solver did not converge ({outcome}, relative residual \
+             {residual:.3e} after {iterations} iterations); model accepted \
+             (--on-nonconverged warn)\n"
+        )
+    })?;
     // ... and so does --on-io-degraded error when the journal died
     let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
     write_final(
@@ -358,6 +370,7 @@ fn finish_lssvm<M>(
 fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     // -s 3: regression (LS-SVR)
     if args.svm_type == 3 {
+        check_modes(args, false)?;
         return run_train_regression(args);
     }
     // classification: one parse, which also tells binary from multi-class
@@ -368,21 +381,18 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
     } else {
         match read_libsvm_classes_file::<f64>(&args.input)? {
             Classes::Binary(data) => data,
-            Classes::Multi(multi) => return run_train_multiclass(args, &multi),
+            Classes::Multi(multi) => {
+                check_modes(args, true)?;
+                return run_train_multiclass(args, &multi);
+            }
         }
     };
     let read = t_read.elapsed();
     let vfs = vfs_for(args);
+    check_modes(args, false)?;
 
     // -v k: cross validation instead of model training (LIBSVM behaviour)
-    if let Some(folds) = args.cv_folds {
-        if args.algorithm != Algorithm::LsSvm {
-            return Err("cross validation is implemented for the lssvm algorithm".into());
-        }
-        let mode = "cross validation";
-        refuse(args.checkpoint_dir.is_some(), "--checkpoint-dir", mode)?;
-        refuse(!args.label_weights.is_empty(), "-wi", mode)?;
-        refuse(args.metrics_out.is_some(), "--metrics-out", mode)?;
+    if let (Some(folds), Algorithm::LsSvm) = (args.cv_folds, args.algorithm) {
         let trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
         let cv = cross_validate(&data, &trainer, folds, 42)?;
         // the first fold that missed ε drives the --on-nonconverged policy
@@ -392,28 +402,22 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
             .enumerate()
             .filter(|(_, f)| !f.outcome.is_converged())
             .collect();
-        let mut summary = String::new();
-        if let Some(&(fold, first)) = failed.first() {
-            match args.on_nonconverged {
-                NonConvergedAction::Error => {
-                    return Err(Box::new(SvmError::NonConverged {
-                        outcome: first.outcome,
-                        relative_residual: first.relative_residual,
-                        iterations: first.iterations,
-                    }))
-                }
-                NonConvergedAction::Warn => summary.push_str(&format!(
-                    "WARNING: {} of {folds} folds did not converge (first: fold {fold}, {}, \
-                     relative residual {:.3e} after {} iterations); accuracy reported \
-                     (--on-nonconverged warn)\n",
-                    failed.len(),
-                    first.outcome,
-                    first.relative_residual,
-                    first.iterations
-                )),
-                NonConvergedAction::Accept => {}
-            }
-        }
+        let first = failed
+            .first()
+            .map(|(_, f)| (f.outcome, f.relative_residual, f.iterations));
+        let mut summary = apply_nonconverged_policy(args.on_nonconverged, first, || {
+            let (fold, first) = failed[0];
+            format!(
+                "WARNING: {} of {folds} folds did not converge (first: fold {fold}, {}, \
+                 relative residual {:.3e} after {} iterations); accuracy reported \
+                 (--on-nonconverged warn)\n",
+                failed.len(),
+                first.outcome,
+                first.relative_residual,
+                first.iterations
+            )
+        })?
+        .unwrap_or_default();
         summary.push_str(&format!(
             "Cross Validation Accuracy = {:.4}% ({folds}-fold)\n",
             100.0 * cv.accuracy
@@ -424,12 +428,6 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
         return Ok(summary);
     }
 
-    if args.fault_plan.is_some() && args.algorithm != Algorithm::LsSvm {
-        return Err("--fault-plan is implemented for the lssvm algorithm".into());
-    }
-    if args.checkpoint_dir.is_some() && args.algorithm != Algorithm::LsSvm {
-        return Err("--checkpoint-dir is implemented for the lssvm algorithm".into());
-    }
     if args.algorithm == Algorithm::LsSvm {
         let mut trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
         if !args.label_weights.is_empty() {
@@ -518,12 +516,6 @@ fn train_inner(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
 }
 
 fn run_train_regression(args: &TrainArgs) -> Result<String, Box<dyn Error>> {
-    if args.algorithm != Algorithm::LsSvm {
-        return Err("regression is implemented for the lssvm algorithm (LS-SVR)".into());
-    }
-    let mode = "regression (-s 3)";
-    refuse(args.cv_folds.is_some(), "-v", mode)?;
-    refuse(!args.label_weights.is_empty(), "-wi", mode)?;
     let data: RegressionData<f64> = read_libsvm_regression_file(&args.input, None)?;
     let vfs = vfs_for(args);
     let trainer = lssvm_trainer(args, data.features(), &vfs, telemetry_for(args))?;
@@ -553,19 +545,6 @@ fn run_train_multiclass(
     args: &TrainArgs,
     data: &plssvm_data::multiclass::MultiClassData<f64>,
 ) -> Result<String, Box<dyn Error>> {
-    if args.algorithm != Algorithm::LsSvm {
-        return Err(format!(
-            "the training file has {} classes; multi-class is implemented for the lssvm algorithm",
-            data.num_classes()
-        )
-        .into());
-    }
-    if args.cv_folds.is_some() {
-        return Err("cross validation currently supports binary problems only".into());
-    }
-    let mode = "multi-class input";
-    refuse(!args.label_weights.is_empty(), "-wi", mode)?;
-    refuse(args.metrics_out.is_some(), "--metrics-out", mode)?;
     let vfs = vfs_for(args);
     // each binary subproblem checkpoints into its own task-<k>/
     // sub-journal (handled by the multiclass driver)
@@ -576,33 +555,23 @@ fn run_train_multiclass(
     };
     let out = train_multiclass_with_outcomes(data, &trainer, strategy)?;
     // the worst subproblem outcome drives the --on-nonconverged policy
-    let mut warning = None;
     let non_converged = out.non_converged();
-    if let Some(((a, b), worst, relative_residual, iterations)) = non_converged.first().copied() {
-        let pair = if b == i32::MIN {
-            format!("{a} vs rest")
-        } else {
-            format!("{a} vs {b}")
+    let first = non_converged
+        .first()
+        .map(|&(_, worst, residual, its)| (worst, residual, its));
+    let warning = apply_nonconverged_policy(args.on_nonconverged, first, || {
+        let ((a, b), worst, ..) = non_converged[0];
+        let pair = match b {
+            i32::MIN => format!("{a} vs rest"),
+            b => format!("{a} vs {b}"),
         };
-        match args.on_nonconverged {
-            NonConvergedAction::Error => {
-                return Err(Box::new(SvmError::NonConverged {
-                    outcome: worst,
-                    relative_residual,
-                    iterations,
-                }))
-            }
-            NonConvergedAction::Warn => {
-                warning = Some(format!(
-                    "WARNING: {} of {} binary subproblems did not converge \
-                     (first: {pair}, {worst}); model accepted (--on-nonconverged warn)\n",
-                    non_converged.len(),
-                    out.outcomes.len()
-                ));
-            }
-            NonConvergedAction::Accept => {}
-        }
-    }
+        format!(
+            "WARNING: {} of {} binary subproblems did not converge \
+             (first: {pair}, {worst}); model accepted (--on-nonconverged warn)\n",
+            non_converged.len(),
+            out.outcomes.len()
+        )
+    })?;
     let degraded = apply_io_degraded_policy(args.on_io_degraded, out.io_degraded)?;
     let model = out.model;
     write_final(None, "model write", || {
@@ -2492,5 +2461,211 @@ mod tests {
             assert_eq!(run_train(&parse_train(&args).unwrap()).unwrap(), "");
             assert!(model.exists());
         }
+    }
+
+    /// What one in-process `svm-train` run shows: its summary without the
+    /// wall-clock line (or its error), the model bytes, the number of
+    /// metrics lines and the files of its checkpoint journal. `METRICS`
+    /// and `JOURNAL` in `flags` name files in `dir`; `setup`, if any, runs
+    /// first in the same directory.
+    type Shown = (
+        Result<String, String>,
+        Option<Vec<u8>>,
+        Option<usize>,
+        Vec<String>,
+    );
+
+    fn shown(data: &std::path::Path, setup: &[&str], flags: &[&str], dir: &str) -> Shown {
+        let dir = tmpdir("flag_guard").join(dir);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let (model, metrics, journal) = (dir.join("model"), dir.join("m.jsonl"), dir.join("j"));
+        let run = |flags: &[&str]| {
+            let mut args: Vec<String> = flags
+                .iter()
+                .map(|f| match *f {
+                    "METRICS" => metrics.to_str().unwrap().to_owned(),
+                    "JOURNAL" => journal.to_str().unwrap().to_owned(),
+                    f => f.to_owned(),
+                })
+                .collect();
+            args.extend([data, &model].map(|p| p.to_str().unwrap().to_owned()));
+            let summary = parse_train(&args).map_err(|e| e.to_string());
+            summary.and_then(|a| run_train(&a).map_err(|e| e.to_string()))
+        };
+        if !setup.is_empty() {
+            run(setup).unwrap();
+            std::fs::remove_file(&model).unwrap();
+        }
+        let summary = run(flags).map(|s| {
+            let lines = s.lines().filter(|l| !l.starts_with("timings:"));
+            lines.collect::<Vec<_>>().join("\n")
+        });
+        let mut files = vec![];
+        let mut dirs = vec![journal];
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(d).into_iter().flatten().flatten() {
+                files.push(entry.file_name().to_string_lossy().into_owned());
+                dirs.push(entry.path());
+            }
+        }
+        files.sort();
+        let lines = std::fs::read_to_string(&metrics)
+            .ok()
+            .map(|m| m.lines().count());
+        (summary, std::fs::read(&model).ok(), lines, files)
+    }
+
+    /// A row's name, a setup run, its contexts and its witness flags.
+    type Witness<'a> = (&'a str, &'a [&'a str], &'a [&'a [&'a str]], &'a [&'a str]);
+
+    /// The flag-table guard: every row of the `svm-train` table, in every
+    /// mode. Where the row applies, its witness changes what the run
+    /// shows (summary, model, metrics, journal or error), except in the
+    /// modes listed as unseen, where it must run (and mostly change
+    /// nothing). Elsewhere
+    /// the witness is refused, naming the flag, with no model and no
+    /// metrics written. A row without a witness fails the test, so a new
+    /// flag cannot skip it.
+    #[test]
+    fn every_train_flag_changes_an_output_or_is_refused_in_every_mode() {
+        let binary = tmpdir("flag_guard").join("noisy.dat");
+        let args = "--points 60 --features 4 --seed 13 --sep 1 --flip 0.1 -o";
+        let mut args = sv(&args.split(' ').collect::<Vec<_>>());
+        args.push(binary.to_str().unwrap().to_owned());
+        run_generate(&parse_generate(&args).unwrap()).unwrap();
+        let multi = multiclass_file("flag_guard_mc");
+        let modes: [(u8, &[&str], &std::path::Path); 7] = [
+            (BINARY, &[], &binary),
+            (SVR, &["-s", "3"], &binary),
+            (MULTI, &[], &multi),
+            (CV, &["-v", "3"], &binary),
+            (SMO_SPARSE, &["-a", "smo"], &binary),
+            (SMO_DENSE, &["-a", "smo-dense"], &binary),
+            (THUNDER, &["-a", "thunder"], &binary),
+        ];
+        let (verbose, cuda): (&[&str], &[&str]) = (&["--verbose"], &["-b", "cuda", "--verbose"]);
+        let lowrank: &[&str] = &["-t", "2", "--solver", "lowrank", "--rank", "4", "--verbose"];
+        let journal: &[&str] = &["--checkpoint-dir", "JOURNAL", "--checkpoint-every", "1"];
+        let degraded: &[&str] = &[
+            "-e",
+            "1e-10",
+            "--checkpoint-dir",
+            "JOURNAL",
+            "--checkpoint-every",
+            "3",
+            "--io-faults",
+            "eio:write@0~gen-!",
+        ];
+        // flag, setup run, contexts (the first one the mode accepts on
+        // its own is used), witness
+        #[rustfmt::skip]
+        let witnesses: &[Witness<'_>] = &[
+            ("-s", &[], &[&[]], &["-s", "3"]),
+            ("-t", &[], &[verbose, &[]], &["-t", "2"]),
+            ("-d", &[], &[&["-t", "1", "--verbose"], &["-t", "1"]], &["-d", "5"]),
+            ("-g", &[], &[&["-t", "2", "--verbose"], &["-t", "2"]], &["-g", "3"]),
+            ("-r", &[], &[&["-t", "1", "--verbose"], &["-t", "1"]], &["-r", "2"]),
+            ("-c", &[], &[verbose, &[]], &["-c", "0.001"]),
+            ("-e", &[], &[&["-t", "2", "--verbose"], &["-t", "2"]], &["-e", "0.5"]),
+            ("-a", &[], &[&[]], &["-a", "smo"]),
+            ("-v", &[], &[&[]], &["-v", "3"]),
+            ("-wi", &[], &[&[]], &["-w1", "4"]),
+            ("-h", &[], &[&[]], &["-h", "0"]),
+            ("-m", &[], &[&[]], &["-m", "1"]),
+            ("--multiclass", &[], &[&[]], &["--multiclass", "ovr"]),
+            ("-b", &[], &[verbose, &[]], &["-b", "cuda"]),
+            ("-n", &[], &[cuda, &["-b", "cuda"]], &["-n", "2"]),
+            ("-T", &[], &[verbose, &[]], &["-T", "1"]),
+            ("--cpu-tile", &[], &[verbose, &[]], &["--cpu-tile", "8x8,nosym"]),
+            ("--hardware", &[], &[cuda, &["-b", "cuda"]], &["--hardware", "v100"]),
+            ("--split", &[], &[&["-b", "cuda", "-n", "2", "--verbose"], &["-b", "cuda", "-n", "2"]],
+                &["--split", "rows"]),
+            ("--metrics-out", &[], &[&[]], &["--metrics-out", "METRICS"]),
+            ("--fault-plan", &[], &[cuda, &["-b", "cuda"]], &["--fault-plan", "fail:0@1"]),
+            ("--checkpoint-every", &[],
+                &[&["--metrics-out", "METRICS"], &["--checkpoint-dir", "JOURNAL"], verbose, &[]],
+                &["--checkpoint-every", "2"]),
+            ("--checkpoint-dir", &[], &[&["--checkpoint-every", "1"], &[]],
+                &["--checkpoint-dir", "JOURNAL"]),
+            ("--resume", &["-c", "5", "--checkpoint-dir", "JOURNAL", "--checkpoint-every", "1"],
+                &[journal, &[]], &["--resume"]),
+            ("--solver", &[], &[verbose, &[]], &["--solver", "lowrank", "--rank", "4"]),
+            ("--rank", &[], &[lowrank, &[]], &["--rank", "16"]),
+            ("--lowrank-seed", &[], &[lowrank, &[]], &["--lowrank-seed", "7"]),
+            ("--landmarks", &[], &[lowrank, &[]], &["--landmarks", "leverage"]),
+            ("--on-nonconverged", &[], &[&["-e", "1e-300"]], &["--on-nonconverged", "error"]),
+            ("--io-faults", &[], &[&[]], &["--io-faults", "enospc:write@0~model!"]),
+            ("--on-io-degraded", &[], &[degraded, &[]], &["--on-io-degraded", "error"]),
+            ("-q", &[], &[&[]], &["-q"]),
+            ("--verbose", &[], &[&[]], &["--verbose"]),
+        ];
+        // applies, but shows nothing there by design, so the witness must
+        // run and (`true`) leave every output unchanged: thread counts, SMO
+        // shrinking and cache sizes keep outputs byte-identical, in-memory
+        // snapshots only serve fault recovery, and LIBSVM's quiet mode
+        // keeps the cross-validation result; a cache tile may move the
+        // last bits on some SIMD tiers and not on others
+        let smo = SMO_SPARSE | SMO_DENSE;
+        let unseen: &[(&str, u8, bool)] = &[
+            ("-T", MULTI | CV, true),
+            ("--cpu-tile", BINARY | SVR | MULTI | CV, false),
+            ("-h", smo, true),
+            ("-m", smo, true),
+            ("--checkpoint-every", CV, true),
+            ("-q", CV, true),
+        ];
+        let mut failures = vec![];
+        for (row, flag) in TRAIN.flags.iter().enumerate() {
+            let name = flag.name();
+            let Some(&(_, setup, contexts, witness)) = witnesses.iter().find(|w| w.0 == name)
+            else {
+                panic!("the {name} row has no witness");
+            };
+            for (mode, base, data) in modes {
+                let case = |ctx: &[&str], with: bool| {
+                    // the base minus the row's own flag, the context, the witness
+                    let mut flags: Vec<&str> = base.to_vec();
+                    if base.first() == witness.first() {
+                        flags.clear();
+                    }
+                    flags.extend(ctx);
+                    if with {
+                        flags.extend(witness);
+                    }
+                    shown(data, setup, &flags, &format!("{row}-{mode}-{with}"))
+                };
+                // the first context the mode accepts, and its run without the flag
+                let accepted = contexts.iter().find_map(|&ctx| {
+                    let without = case(ctx, false);
+                    without.0.is_ok().then_some((ctx, without))
+                });
+                let with = case(accepted.as_ref().map_or(contexts[0], |a| a.0), true);
+                let unseen = unseen.iter().find(|&&(n, m, _)| n == name && m & mode != 0);
+                let same = unseen.is_some_and(|u| u.2);
+                let brief = |s: &Shown| format!("{:?} (model: {})", s.0, s.1.is_some());
+                let any_refusal = accepted.is_none();
+                let problem = match accepted.map(|a| a.1) {
+                    _ if flag.modes & mode == 0 => match &with {
+                        (Err(e), None, None, _) if any_refusal || e.contains(name) => None,
+                        _ => Some(format!("not refused: {}", brief(&with))),
+                    },
+                    None => Some("no context runs".to_owned()),
+                    Some(without)
+                        if unseen.is_some() && (with.0.is_err() || same && with != without) =>
+                    {
+                        Some(format!("changed {} to {}", brief(&without), brief(&with)))
+                    }
+                    Some(without) if unseen.is_none() && with == without => {
+                        Some(format!("changed nothing: {}", brief(&with)))
+                    }
+                    _ => None,
+                };
+                if let Some(problem) = problem {
+                    failures.push(format!("{name} in mode {mode}: {problem}"));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 }

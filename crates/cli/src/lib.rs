@@ -7,8 +7,10 @@
 //! `generate_data.py` utility script ("planes" problem and the SAT-6-like
 //! generator).
 //!
-//! All argument parsing lives in this library crate so it is unit-testable;
-//! the binaries are thin `main` wrappers.
+//! All argument parsing lives in this library crate so it is unit-testable:
+//! one flag table per binary drives its parsing, its usage text and, for
+//! `svm-train`, which flags each mode accepts. Each binary's `main` is one
+//! call to its function here ([`train_main`] and so on).
 
 #![warn(missing_docs)]
 
@@ -16,4 +18,4 @@ pub mod args;
 pub mod commands;
 pub mod signals;
 
-pub use args::CliError;
+pub use args::{generate_main, predict_main, scale_main, serve_main, train_main, CliError};

@@ -642,3 +642,71 @@ fn predict_accuracy_is_independent_of_the_test_files_label_order() {
     assert!(reported[0] >= 97.0, "{reported:?}");
     assert_eq!(reported[0], reported[1], "label order changed the score");
 }
+
+/// Runs any of the five binaries; returns its exit code and stderr.
+fn exit_code(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let exe = match bin {
+        "svm-serve" => env!("CARGO_BIN_EXE_svm-serve"),
+        "svm-train" => env!("CARGO_BIN_EXE_svm-train"),
+        "svm-predict" => env!("CARGO_BIN_EXE_svm-predict"),
+        "svm-scale" => env!("CARGO_BIN_EXE_svm-scale"),
+        _ => env!("CARGO_BIN_EXE_generate-data"),
+    };
+    let out = Command::new(exe).args(args).output().expect("spawn");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A flag whose second character is not ASCII is an unknown option (a
+/// usage error, exit 2) in every binary, never a panic.
+#[test]
+fn non_ascii_flags_are_unknown_options_in_every_binary() {
+    for bin in [
+        "svm-train",
+        "svm-predict",
+        "svm-scale",
+        "svm-serve",
+        "generate-data",
+    ] {
+        let (code, stderr) = exit_code(bin, &["-é", "x"]);
+        assert_eq!(code, Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains("unknown option '-é'"), "{bin}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin}: {stderr}");
+    }
+}
+
+/// `svm-scale` and `generate-data` exit like the other binaries: 2 with
+/// the usage text for a usage error, 1 with the error alone for a
+/// runtime error.
+#[test]
+fn scale_and_generate_exit_2_on_usage_errors_and_1_on_runtime_errors() {
+    let dir = tmpdir("exit_codes");
+    let data = dir.join("d.dat");
+    let written = data.to_str().unwrap();
+    let (code, stderr) = exit_code("generate-data", &["--points", "20", "-o", written]);
+    assert_eq!(code, Some(0), "{stderr}");
+
+    let (code, stderr) = exit_code("svm-scale", &[]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert_eq!(stderr.matches("usage:").count(), 1, "{stderr}");
+    for args in [
+        &["--sat6", "--sep", "1", "-o", written][..],
+        &["--points", "10"],
+    ] {
+        let (code, stderr) = exit_code("generate-data", args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+    for (bin, args) in [
+        ("svm-scale", &["/nonexistent/input.dat"][..]),
+        ("svm-scale", &["-l", "1", "-u", "1", written]),
+        ("generate-data", &["--points", "0", "-o", written]),
+    ] {
+        let (code, stderr) = exit_code(bin, args);
+        assert_eq!(code, Some(1), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("usage"), "{bin} {args:?}: {stderr}");
+    }
+}

@@ -139,17 +139,20 @@ fn scratch_dir(label: &str) -> PathBuf {
 /// (abort), not by an orderly test failure.
 fn spawn_crashing_child(case: &str, dir: &Path, crash_gen: u64) {
     let exe = env::current_exe().unwrap();
-    let status = Command::new(exe)
+    let out = Command::new(exe)
         .args(["child_entry", "--exact", "--test-threads=1"])
         .env(CASE_ENV, case)
         .env(DIR_ENV, dir)
         .env(CRASH_AFTER_ENV, crash_gen.to_string())
-        .status()
+        .output()
         .unwrap();
     assert!(
-        status.code().is_none(),
+        out.status.code().is_none(),
         "{case}: child killed at generation {crash_gen} should die by \
-         signal (abort), got {status:?}"
+         signal (abort), got {:?}\nstdout:\n{}\nstderr:\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
